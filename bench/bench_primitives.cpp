@@ -3,10 +3,12 @@
 #include <benchmark/benchmark.h>
 
 #include <numeric>
+#include <string>
 
 #include "graph/cycle_structure.hpp"
 #include "graph/euler_tour.hpp"
 #include "graph/rooted_forest.hpp"
+#include "pram/config.hpp"
 #include "prim/find_first.hpp"
 #include "prim/integer_sort.hpp"
 #include "prim/list_ranking.hpp"
@@ -30,17 +32,27 @@ void BM_Scan(benchmark::State& state) {
 }
 BENCHMARK(BM_Scan)->Range(1 << 12, 1 << 22);
 
-void BM_IntegerSort(benchmark::State& state) {
+void BM_IntegerSort(benchmark::State& state, int threads) {
   const std::size_t n = static_cast<std::size_t>(state.range(0));
   util::Rng rng(2);
   std::vector<u64> keys(n);
   for (auto& k : keys) k = rng.below(n);
+  pram::ScopedThreads width(threads);
   for (auto _ : state) {
     benchmark::DoNotOptimize(prim::sort_order_by_key(keys, n));
   }
   state.SetItemsProcessed(static_cast<i64>(state.iterations()) * static_cast<i64>(n));
 }
-BENCHMARK(BM_IntegerSort)->Range(1 << 12, 1 << 21);
+// Thread-width lanes (BENCH_primitives.json): the width is a /t<k> name
+// segment, so bench_diff.py's scaling report shows speedup vs t1 per size.
+const int kIntegerSortLanes = [] {
+  for (const int t : {1, 2, 4}) {
+    benchmark::RegisterBenchmark(("BM_IntegerSort/t" + std::to_string(t)).c_str(),
+                                 BM_IntegerSort, t)
+        ->Range(1 << 12, 1 << 21);
+  }
+  return 0;
+}();
 
 void BM_ListRank(benchmark::State& state) {
   const std::size_t n = static_cast<std::size_t>(state.range(0));

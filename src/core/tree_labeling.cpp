@@ -172,9 +172,12 @@ void label_trees_into(const graph::Instance& inst, const graph::CycleStructure& 
   out.q = cl.q;
   out.kept = 0;
   out.residual = 0;
+  // Every node on a cycle (a permutation): there are no trees to label.
+  if (cs.cycle_nodes.size() == n) return;
 
   const graph::RootedForest forest = graph::build_rooted_forest(inst.f, cs.on_cycle);
-  const graph::ForestLevels lv = graph::forest_levels(forest, opt.forest);
+  const graph::ForestPaths paths(forest, opt.forest);
+  const graph::ForestLevels& lv = paths.levels();
 
   // Steps 1-2: mark tree nodes whose B-label matches the corresponding
   // cycle node (Lemma 4.1); cycle nodes are trivially marked.
@@ -195,7 +198,7 @@ void label_trees_into(const graph::Instance& inst, const graph::CycleStructure& 
   // of "unmarked" indicators must be zero.
   std::vector<i64> bad(n);
   pram::parallel_for(0, n, [&](std::size_t x) { bad[x] = marked[x] ? 0 : 1; });
-  const std::vector<i64> bad_on_path = graph::root_path_sums(forest, bad, opt.forest);
+  const std::vector<i64> bad_on_path = paths.root_path_sums(bad);
 
   // Step 4: kept nodes copy their corresponding cycle node's Q-label.
   Residual res;

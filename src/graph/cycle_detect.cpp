@@ -56,9 +56,7 @@ void detect_euler(std::span<const u32> f, std::vector<u8>& on_cycle) {
   // algorithm").
   std::vector<u64> keys(n);
   pram::parallel_for(0, n, [&](std::size_t x) { keys[x] = f[x]; });
-  const std::vector<u32> by_parent = prim::sort_order_by_key(keys, n - 1);
-  std::vector<u32> pre(n);  // nodes grouped by f-image
-  pram::parallel_for(0, n, [&](std::size_t i) { pre[i] = by_parent[i]; });
+  const std::vector<u32> pre = prim::sort_order_by_key(keys, n - 1);  // nodes grouped by f-image
   const std::vector<u32> deg = indegrees(f);
   std::vector<u32> pre_off(n + 1, 0);
   prim::exclusive_scan<u32>(deg, std::span<u32>(pre_off).first(n));

@@ -12,6 +12,8 @@ EulerTour build_euler_tour(const RootedForest& forest, prim::ListRankStrategy ra
   const std::size_t n = forest.size();
   EulerTour tour;
   tour.pos.assign(2 * n, kNone);
+  // A forest of roots only has no arcs: skip ranking 2n singleton lists.
+  if (forest.child.empty()) return tour;
   // Successor of each arc in the chained tour.
   std::vector<u32> succ(2 * n, kNone);
   std::vector<u8> used(2 * n, 0);

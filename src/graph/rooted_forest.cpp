@@ -76,48 +76,34 @@ ForestLevels levels_sequential(const RootedForest& forest) {
   return out;
 }
 
-ForestLevels levels_euler(const RootedForest& forest) {
+ForestLevels levels_euler(const RootedForest& forest, const EulerTour& tour) {
   const std::size_t n = forest.size();
   ForestLevels out;
   out.level.assign(n, 0);
   out.root_of.assign(n, kNone);
-  const EulerTour tour = build_euler_tour(forest);
   const std::size_t T = tour.order.size();
-  // +1 on a down-arc, -1 on an up-arc; the segmented prefix sum at a node's
-  // down-arc is exactly its level.
-  std::vector<i64> vals(T);
+  // One segmented scan yields both quantities.  Every arc carries +1 on a
+  // down-arc and -1 (mod 2^64) on an up-arc; each tree's first arc also
+  // carries (root + 1) << 32.  Within a tree the running +-1 sum is a depth,
+  // never negative and below 2^32, so the prefix at a node's down-arc holds
+  // its owning root + 1 in the high word and its level in the low word.
+  std::vector<u64> vals(T);
   pram::parallel_for(0, T, [&](std::size_t p) {
-    vals[p] = EulerTour::is_down(tour.order[p]) ? 1 : -1;
+    const u32 arc = tour.order[p];
+    u64 v = EulerTour::is_down(arc) ? 1 : ~u64{0};
+    if (tour.seg_start[p]) v += (u64{forest.parent[EulerTour::arc_node(arc)]} + 1) << 32;
+    vals[p] = v;
   });
-  std::vector<i64> pre(T);
-  prim::segmented_inclusive_scan<i64>(vals, tour.seg_start, pre);
+  std::vector<u64> pre(T);
+  prim::segmented_inclusive_scan<u64>(vals, tour.seg_start, pre);
   pram::parallel_for(0, n, [&](std::size_t x) {
     if (forest.is_root[x]) {
       out.root_of[x] = static_cast<u32>(x);
       return;
     }
-    out.level[x] = static_cast<u32>(pre[tour.pos[EulerTour::down_arc(static_cast<u32>(x))]]);
-  });
-  // Owning root: propagate the segment head's root with a segmented max
-  // scan over (root id + 1) placed at segment heads.
-  std::vector<i64> rootv(T, 0);
-  pram::parallel_for(0, T, [&](std::size_t p) {
-    if (tour.seg_start[p]) {
-      rootv[p] = static_cast<i64>(forest.parent[EulerTour::arc_node(tour.order[p])]) + 1;
-    }
-  });
-  // A copy-scan: within a segment only the head holds a value, so a
-  // segmented running maximum propagates it.
-  std::vector<i64> carried(T);
-  {
-    // reuse segmented sum scan on indicator trick: since only heads hold
-    // values and all others are 0, max == sum within a segment prefix.
-    prim::segmented_inclusive_scan<i64>(rootv, tour.seg_start, carried);
-  }
-  pram::parallel_for(0, n, [&](std::size_t x) {
-    if (forest.is_root[x]) return;
-    out.root_of[x] =
-        static_cast<u32>(carried[tour.pos[EulerTour::down_arc(static_cast<u32>(x))]] - 1);
+    const u64 s = pre[tour.pos[EulerTour::down_arc(static_cast<u32>(x))]];
+    out.level[x] = static_cast<u32>(s);
+    out.root_of[x] = static_cast<u32>((s >> 32) - 1);
   });
   return out;
 }
@@ -175,10 +161,10 @@ std::vector<i64> sums_sequential(const RootedForest& forest, std::span<const i64
   return out;
 }
 
-std::vector<i64> sums_euler(const RootedForest& forest, std::span<const i64> vals) {
+std::vector<i64> sums_euler(const RootedForest& forest, const EulerTour& tour,
+                            std::span<const u32> root_of, std::span<const i64> vals) {
   const std::size_t n = forest.size();
   std::vector<i64> out(n, 0);
-  const EulerTour tour = build_euler_tour(forest);
   const std::size_t T = tour.order.size();
   std::vector<i64> arc_vals(T);
   pram::parallel_for(0, T, [&](std::size_t p) {
@@ -193,14 +179,9 @@ std::vector<i64> sums_euler(const RootedForest& forest, std::span<const i64> val
       out[x] = vals[x];
     } else {
       // The prefix at the down-arc covers the path root..x *excluding* the
-      // root (roots have no down-arc); add the root's value explicitly.
-      out[x] = pre[tour.pos[EulerTour::down_arc(static_cast<u32>(x))]];
+      // root (roots have no down-arc); add the owning root's value.
+      out[x] = pre[tour.pos[EulerTour::down_arc(static_cast<u32>(x))]] + vals[root_of[x]];
     }
-  });
-  // Add the owning root's value to every tree node.
-  const ForestLevels lv = levels_euler(forest);
-  pram::parallel_for(0, n, [&](std::size_t x) {
-    if (!forest.is_root[x]) out[x] += vals[lv.root_of[x]];
   });
   return out;
 }
@@ -235,29 +216,41 @@ std::vector<i64> sums_doubling(const RootedForest& forest, std::span<const i64> 
 
 }  // namespace
 
-ForestLevels forest_levels(const RootedForest& forest, ForestStrategy strategy) {
+ForestPaths::ForestPaths(const RootedForest& forest, ForestStrategy strategy)
+    : forest_(forest), strategy_(strategy) {
   switch (strategy) {
     case ForestStrategy::Sequential:
-      return levels_sequential(forest);
+      levels_ = levels_sequential(forest);
+      break;
     case ForestStrategy::EulerTour:
-      return levels_euler(forest);
+      tour_ = build_euler_tour(forest);
+      levels_ = levels_euler(forest, tour_);
+      break;
     case ForestStrategy::AncestorDoubling:
-      return levels_doubling(forest);
+      levels_ = levels_doubling(forest);
+      break;
   }
-  return levels_sequential(forest);
+}
+
+std::vector<i64> ForestPaths::root_path_sums(std::span<const i64> vals) const {
+  switch (strategy_) {
+    case ForestStrategy::Sequential:
+      return sums_sequential(forest_, vals);
+    case ForestStrategy::EulerTour:
+      return sums_euler(forest_, tour_, levels_.root_of, vals);
+    case ForestStrategy::AncestorDoubling:
+      return sums_doubling(forest_, vals);
+  }
+  return sums_sequential(forest_, vals);
+}
+
+ForestLevels forest_levels(const RootedForest& forest, ForestStrategy strategy) {
+  return ForestPaths(forest, strategy).levels();
 }
 
 std::vector<i64> root_path_sums(const RootedForest& forest, std::span<const i64> vals,
                                 ForestStrategy strategy) {
-  switch (strategy) {
-    case ForestStrategy::Sequential:
-      return sums_sequential(forest, vals);
-    case ForestStrategy::EulerTour:
-      return sums_euler(forest, vals);
-    case ForestStrategy::AncestorDoubling:
-      return sums_doubling(forest, vals);
-  }
-  return sums_sequential(forest, vals);
+  return ForestPaths(forest, strategy).root_path_sums(vals);
 }
 
 }  // namespace sfcp::graph

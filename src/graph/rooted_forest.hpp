@@ -6,11 +6,14 @@
 // builds children lists (deterministically: siblings in ascending id order)
 // and computes levels, owning roots and root-path prefix sums with three
 // interchangeable strategies (sequential BFS, Euler tour + segmented scan,
-// ancestor pointer doubling).
+// ancestor pointer doubling).  ForestPaths shares one Euler tour across all
+// of a caller's queries.
 
 #include <span>
+#include <utility>
 #include <vector>
 
+#include "graph/euler_tour.hpp"
 #include "pram/types.hpp"
 #include "prim/list_ranking.hpp"
 
@@ -42,5 +45,26 @@ ForestLevels forest_levels(const RootedForest& forest, ForestStrategy strategy);
 /// sums[x] = sum of vals over the path root(x) .. x (inclusive of both).
 std::vector<i64> root_path_sums(const RootedForest& forest, std::span<const i64> vals,
                                 ForestStrategy strategy);
+
+/// Levels, owning roots and any number of root-path sums of one forest from
+/// ONE traversal structure: under ForestStrategy::EulerTour the tour is
+/// built once here and every query is a segmented scan over it.
+/// forest_levels / root_path_sums are its one-query forms.  `forest` must
+/// outlive this object.
+class ForestPaths {
+ public:
+  ForestPaths(const RootedForest& forest, ForestStrategy strategy);
+
+  const ForestLevels& levels() const& { return levels_; }
+  ForestLevels levels() && { return std::move(levels_); }
+
+  std::vector<i64> root_path_sums(std::span<const i64> vals) const;
+
+ private:
+  const RootedForest& forest_;
+  ForestStrategy strategy_;
+  EulerTour tour_;  ///< empty unless strategy_ == EulerTour
+  ForestLevels levels_;
+};
 
 }  // namespace sfcp::graph

@@ -1,6 +1,7 @@
 #include "prim/integer_sort.hpp"
 
 #include <algorithm>
+#include <array>
 #include <utility>
 
 #include "pram/metrics.hpp"
@@ -15,7 +16,10 @@ constexpr int kDigitBits = 8;
 constexpr std::size_t kBuckets = std::size_t{1} << kDigitBits;
 
 // One stable counting pass on digit `shift`, permuting `src_idx` into
-// `dst_idx` ordered by the digit.
+// `dst_idx` ordered by the digit.  Every block counts into a private
+// histogram and scatters through private offsets; the shared column-major
+// table is written once per (digit, block) cell on each side of the scan,
+// so no two blocks ever write a shared cache line per key.
 void counting_pass(std::span<const u64> keys, std::span<const u32> src_idx,
                    std::span<u32> dst_idx, int shift) {
   const std::size_t n = src_idx.size();
@@ -23,19 +27,25 @@ void counting_pass(std::span<const u64> keys, std::span<const u32> src_idx,
   const std::size_t nbz = static_cast<std::size_t>(nb);
   // counts laid out column-major: counts[bucket * nb + block], so that a
   // single exclusive scan yields stable global offsets.
-  std::vector<u32> counts(kBuckets * nbz, 0);
+  std::vector<u32> counts(kBuckets * nbz);
   pram::parallel_blocks(n, [&](int b, std::size_t lo, std::size_t hi) {
-    u32* c = counts.data() + 0;  // column-major addressing below
+    std::array<u32, kBuckets> hist{};
     for (std::size_t i = lo; i < hi; ++i) {
-      const std::size_t digit = (keys[src_idx[i]] >> shift) & (kBuckets - 1);
-      ++c[digit * nbz + static_cast<std::size_t>(b)];
+      ++hist[(keys[src_idx[i]] >> shift) & (kBuckets - 1)];
+    }
+    for (std::size_t d = 0; d < kBuckets; ++d) {
+      counts[d * nbz + static_cast<std::size_t>(b)] = hist[d];
     }
   });
   exclusive_scan<u32>(counts, counts);
   pram::parallel_blocks(n, [&](int b, std::size_t lo, std::size_t hi) {
+    std::array<u32, kBuckets> next;
+    for (std::size_t d = 0; d < kBuckets; ++d) {
+      next[d] = counts[d * nbz + static_cast<std::size_t>(b)];
+    }
     for (std::size_t i = lo; i < hi; ++i) {
-      const std::size_t digit = (keys[src_idx[i]] >> shift) & (kBuckets - 1);
-      dst_idx[counts[digit * nbz + static_cast<std::size_t>(b)]++] = src_idx[i];
+      const u32 x = src_idx[i];
+      dst_idx[next[(keys[x] >> shift) & (kBuckets - 1)]++] = x;
     }
   });
   pram::charge_sort(2 * n + kBuckets * nbz);
@@ -68,9 +78,7 @@ std::vector<u32> sort_order_by_key(std::span<const u64> keys, u64 max_key) {
     counting_pass(keys, a, b, p * kDigitBits);
     std::swap(a, b);
   }
-  if (a.data() != order.data()) {
-    pram::parallel_for(0, n, [&](std::size_t i) { order[i] = tmp[i]; });
-  }
+  if (a.data() != order.data()) order.swap(tmp);
   return order;
 }
 

@@ -55,16 +55,31 @@ RenameResult rename_pairs_hashed(std::span<const u32> a, std::span<const u32> b)
 }
 
 RenameResult canonicalize_labels(std::span<const u32> labels) {
+  const std::size_t n = labels.size();
   RenameResult r;
-  r.labels.assign(labels.size(), 0);
-  std::unordered_map<u32, u32> seen;
-  seen.reserve(labels.size());
-  for (std::size_t i = 0; i < labels.size(); ++i) {
-    auto [it, inserted] = seen.emplace(labels[i], static_cast<u32>(seen.size()));
-    r.labels[i] = it->second;
+  r.labels.assign(n, 0);
+  if (n == 0) return r;
+  u32 classes = 0;
+  const u64 max_label = reduce_max<u32>(labels);
+  if (max_label < dense_label_limit(n)) {
+    // Direct-address first-occurrence table: one array probe per element.
+    std::vector<u32> first(static_cast<std::size_t>(max_label) + 1, kNone);
+    for (std::size_t i = 0; i < n; ++i) {
+      u32& slot = first[labels[i]];
+      if (slot == kNone) slot = classes++;
+      r.labels[i] = slot;
+    }
+  } else {
+    std::unordered_map<u32, u32> seen;
+    seen.reserve(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      auto [it, inserted] = seen.emplace(labels[i], classes);
+      if (inserted) ++classes;
+      r.labels[i] = it->second;
+    }
   }
-  r.num_classes = static_cast<u32>(seen.size());
-  pram::charge(labels.size());
+  r.num_classes = classes;
+  pram::charge(n);
   return r;
 }
 

@@ -38,9 +38,16 @@ RenameResult rename_hashed(std::span<const u64> keys);
 /// Equality-preserving renaming of pairs via hashing.
 RenameResult rename_pairs_hashed(std::span<const u32> a, std::span<const u32> b);
 
+/// canonicalize_labels addresses a first-occurrence table directly when
+/// every label is below this bound (O(n) cells); larger labels are hashed.
+/// The solver's labels are always below 2n.
+constexpr u64 dense_label_limit(std::size_t n) noexcept { return 2 * u64{n} + 1024; }
+
 /// Canonicalizes labels to first-occurrence order: out[i] in [0, k), equal
 /// iff in[i] equal, and the first occurrences are numbered 0,1,2,...
-/// Sequential O(n) with a hash map; used to compare partitions for equality.
+/// Sequential O(n): a direct-address table for labels below
+/// dense_label_limit(n), a hash map otherwise.  Used to compare partitions
+/// for equality and to emit the solver's canonical labels.
 RenameResult canonicalize_labels(std::span<const u32> labels);
 
 }  // namespace sfcp::prim

@@ -66,6 +66,8 @@ TEST(EulerTourTest, NoTreeNodes) {
   const auto forest = forest_of(inst);
   const auto tour = build_euler_tour(forest);
   EXPECT_TRUE(tour.order.empty());
+  EXPECT_TRUE(tour.seg_start.empty());
+  EXPECT_EQ(tour.pos, std::vector<u32>(4, kNone));
 }
 
 TEST(EulerTourTest, SinglePathIntoSelfLoop) {

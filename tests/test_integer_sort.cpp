@@ -74,6 +74,13 @@ TEST_P(IntegerSortSweep, MatchesStdStableSort) {
     pram::ScopedGrain g(grain);
     EXPECT_EQ(prim::sort_order_by_key(keys), ref) << "n=" << n << " bound=" << key_bound;
   }
+  // Every thread budget, odd block counts included, gives the same order.
+  pram::ScopedGrain g(64);
+  for (const int t : {1, 2, 3, 4, 8}) {
+    pram::ScopedThreads th(t);
+    EXPECT_EQ(prim::sort_order_by_key(keys), ref)
+        << "n=" << n << " bound=" << key_bound << " threads=" << t;
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -2,6 +2,7 @@
 // ranks; hashed = arbitrary-CRCW BB-table emulation) and canonicalization.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <unordered_map>
 
@@ -95,6 +96,47 @@ TEST(Canonicalize, Idempotent) {
   const auto once = prim::canonicalize_labels(labels);
   const auto twice = prim::canonicalize_labels(once.labels);
   EXPECT_EQ(once.labels, twice.labels);
+}
+
+// First-occurrence numbering through a hash map: the reference both of
+// canonicalize_labels's paths must reproduce.
+std::vector<u32> hashed_first_occurrence(const std::vector<u32>& labels) {
+  std::unordered_map<u32, u32> seen;
+  std::vector<u32> out;
+  for (const u32 l : labels) {
+    out.push_back(seen.emplace(l, static_cast<u32>(seen.size())).first->second);
+  }
+  return out;
+}
+
+TEST(Canonicalize, Empty) {
+  const auto r = prim::canonicalize_labels(std::vector<u32>{});
+  EXPECT_TRUE(r.labels.empty());
+  EXPECT_EQ(r.num_classes, 0u);
+}
+
+TEST(Canonicalize, DenseThresholdEdgeMatchesHashPath) {
+  util::Rng rng(41);
+  const std::size_t n = 3000;
+  const u64 limit = prim::dense_label_limit(n);
+  // Largest label just below the limit (direct-address table), at the limit
+  // and far above it (hash map).
+  for (const u64 top : {limit - 1, limit, limit + 1, u64{kNone}}) {
+    std::vector<u32> labels(n);
+    for (auto& l : labels) l = static_cast<u32>(top - rng.below(n / 4));
+    labels[rng.below(n)] = static_cast<u32>(top);
+    const auto want = hashed_first_occurrence(labels);
+    const auto r = prim::canonicalize_labels(labels);
+    EXPECT_EQ(r.labels, want) << "top=" << top;
+    EXPECT_EQ(r.num_classes, *std::max_element(want.begin(), want.end()) + 1) << "top=" << top;
+  }
+}
+
+TEST(Canonicalize, AllOnesLabel) {
+  const std::vector<u32> labels{kNone, 0, kNone, 5, 0};
+  const auto r = prim::canonicalize_labels(labels);
+  EXPECT_EQ(r.labels, (std::vector<u32>{0, 1, 0, 2, 1}));
+  EXPECT_EQ(r.num_classes, 3u);
 }
 
 TEST(RenameBackends, AgreeOnEquivalenceClasses) {

@@ -123,5 +123,46 @@ TEST(RootPathSums, DeepPathNoOverflow) {
   EXPECT_EQ(*std::max_element(ref.begin(), ref.end()), 29999);
 }
 
+// ForestPaths (one shared traversal per strategy) against the sequential
+// per-query forms.
+void expect_paths_match(const RootedForest& forest, util::Rng& rng, const char* what) {
+  std::vector<i64> a(forest.size()), b(forest.size());
+  for (auto& v : a) v = static_cast<i64>(rng.below(19)) - 9;
+  for (auto& v : b) v = static_cast<i64>(rng.below(2));
+  const auto ref = forest_levels(forest, ForestStrategy::Sequential);
+  const auto ref_a = root_path_sums(forest, a, ForestStrategy::Sequential);
+  const auto ref_b = root_path_sums(forest, b, ForestStrategy::Sequential);
+  for (auto strat : kAll) {
+    const graph::ForestPaths paths(forest, strat);
+    EXPECT_EQ(paths.levels().level, ref.level) << what << " " << static_cast<int>(strat);
+    EXPECT_EQ(paths.levels().root_of, ref.root_of) << what << " " << static_cast<int>(strat);
+    // Two queries on one object: the shared tour is reusable.
+    EXPECT_EQ(paths.root_path_sums(a), ref_a) << what << " " << static_cast<int>(strat);
+    EXPECT_EQ(paths.root_path_sums(b), ref_b) << what << " " << static_cast<int>(strat);
+  }
+}
+
+TEST(ForestPathsTest, SharedTourMatchesSequential) {
+  util::Rng rng(827);
+  for (int iter = 0; iter < 10; ++iter) {
+    const auto inst = util::random_function(1 + rng.below(3000), 3, rng);
+    expect_paths_match(forest_of(inst), rng, "random");
+  }
+  expect_paths_match(forest_of(util::long_tail(4000, 3, 2, rng)), rng, "long tail");
+}
+
+TEST(ForestPathsTest, EmptyForests) {
+  util::Rng rng(829);
+  expect_paths_match(forest_of(graph::Instance{}), rng, "no nodes");
+  // Roots only: every level is 0, every node its own root.
+  const auto perm = forest_of(util::random_permutation(500, 2, rng));
+  expect_paths_match(perm, rng, "permutation");
+  const graph::ForestPaths paths(perm, ForestStrategy::EulerTour);
+  for (u32 x = 0; x < perm.size(); ++x) {
+    EXPECT_EQ(paths.levels().level[x], 0u);
+    EXPECT_EQ(paths.levels().root_of[x], x);
+  }
+}
+
 }  // namespace
 }  // namespace sfcp

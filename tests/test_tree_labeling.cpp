@@ -2,9 +2,12 @@
 // against the refinement oracle).
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "core/baselines.hpp"
 #include "core/coarsest_partition.hpp"
 #include "core/verify.hpp"
+#include "pram/config.hpp"
 #include "util/generators.hpp"
 #include "util/random.hpp"
 
@@ -123,6 +126,43 @@ TEST(TreeLabeling, DeepResidualChains) {
       const auto r = solve(inst, with(ts, fs));
       EXPECT_TRUE(core::same_partition(r.q, oracle.q))
           << static_cast<int>(ts) << "/" << static_cast<int>(fs);
+    }
+  }
+}
+
+// Byte equality with the sequential pipeline, not just the same partition.
+void expect_same_result(const core::Result& got, const core::Result& want, const char* what,
+                        TreeLabelStrategy ts, ForestStrategy fs) {
+  const std::string tag = std::string(what) + " " + std::to_string(static_cast<int>(ts)) + "/" +
+                          std::to_string(static_cast<int>(fs));
+  EXPECT_EQ(got.q, want.q) << tag;
+  EXPECT_EQ(got.num_blocks, want.num_blocks) << tag;
+  EXPECT_EQ(got.kept_tree_nodes, want.kept_tree_nodes) << tag;
+  EXPECT_EQ(got.residual_tree_nodes, want.residual_tree_nodes) << tag;
+}
+
+TEST(TreeLabeling, PermutationAndAllTreeForestMatchSequential) {
+  util::Rng rng(1013);
+  const std::size_t n = 6000;
+  // No tree nodes at all: tree labelling must hand the cycle labels through.
+  const auto perm = util::random_permutation(n, 3, rng);
+  // One self-loop root; every other node is a tree node.
+  graph::Instance tree;
+  tree.f.resize(n);
+  tree.b.resize(n);
+  for (u32 x = 0; x < n; ++x) {
+    tree.f[x] = x == 0 ? 0 : rng.below_u32(x);
+    tree.b[x] = rng.below_u32(2);
+  }
+  const auto perm_ref = solve(perm, Options::sequential());
+  const auto tree_ref = solve(tree, Options::sequential());
+  EXPECT_EQ(perm_ref.kept_tree_nodes + perm_ref.residual_tree_nodes, 0u);
+  EXPECT_EQ(tree_ref.cycle_nodes, 1u);
+  pram::ScopedGrain g(64);  // parallel blocks even at this size
+  for (auto ts : kTree) {
+    for (auto fs : kForest) {
+      expect_same_result(solve(perm, with(ts, fs)), perm_ref, "permutation", ts, fs);
+      expect_same_result(solve(tree, with(ts, fs)), tree_ref, "all-tree", ts, fs);
     }
   }
 }
