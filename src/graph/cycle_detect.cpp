@@ -6,6 +6,7 @@
 #include "graph/functional_graph.hpp"
 #include "pram/parallel_for.hpp"
 #include "prim/integer_sort.hpp"
+#include "prim/orbit_label.hpp"
 #include "prim/scan.hpp"
 
 namespace sfcp::graph {
@@ -83,23 +84,10 @@ void detect_euler(std::span<const u32> f, std::vector<u8>& on_cycle) {
     const u32 dx = deg[x] + 1;
     succ[2 * x + 1] = out_arc(x, 1 % dx);
   });
-  // Euler-cycle identifiers: minimum arc id in each orbit of the successor
-  // permutation, by min-propagation doubling.
-  const std::size_t m = 2 * n;
-  std::vector<u32> id(m), jump(m), id2(m), jump2(m);
-  pram::parallel_for(0, m, [&](std::size_t a) {
-    id[a] = static_cast<u32>(a);
-    jump[a] = succ[a];
-  });
-  const int rounds = static_cast<int>(std::bit_width(static_cast<u64>(m - 1))) + 1;
-  for (int r = 0; r < rounds; ++r) {
-    pram::parallel_for(0, m, [&](std::size_t a) {
-      id2[a] = std::min(id[a], id[jump[a]]);
-      jump2[a] = jump[jump[a]];
-    });
-    id.swap(id2);
-    jump.swap(jump2);
-  }
+  // Euler-cycle identifiers: the minimum arc id in each orbit of the
+  // successor permutation.
+  std::vector<u32> id(2 * n);
+  prim::label_orbits(succ, {}, id, {}, {});
   // Edge (x, f(x)) is a cycle edge iff its two arcs lie in different Euler
   // cycles; both endpoints of a cycle edge are cycle nodes, and every cycle
   // node has exactly one outgoing cycle edge.

@@ -1,14 +1,11 @@
 #include "graph/cycle_structure.hpp"
 
 #include <algorithm>
-#include <atomic>
-#include <bit>
-#include <cassert>
 
-#include "graph/functional_graph.hpp"
-#include "pram/crcw.hpp"
+#include "graph/cycle_detect.hpp"
 #include "pram/parallel_for.hpp"
 #include "prim/compact.hpp"
+#include "prim/orbit_label.hpp"
 #include "prim/scan.hpp"
 
 namespace sfcp::graph {
@@ -85,83 +82,21 @@ void structure_sequential(std::span<const u32> f, CycleStructure& cs) {
   arrange(cs);
 }
 
-void structure_doubling(std::span<const u32> f, std::span<const u8> known_flags,
-                        CycleStructure& cs) {
+// The parallel strategy: Euler-tour detection when no flags are given, then
+// one ruling-set orbit labelling of f restricted to the cycle nodes (a
+// permutation of them) writes leader = orbit minimum, rank and length.
+void structure_orbits(std::span<const u32> f, std::span<const u8> known_flags,
+                      CycleStructure& cs) {
   const std::size_t n = f.size();
-  cs.on_cycle.assign(n, 0);
-  cs.leader.assign(n, kNone);
-  cs.rank.assign(n, kNone);
-  cs.length.assign(n, kNone);
-  if (n == 0) {
-    arrange(cs);
-    return;
-  }
-  if (!known_flags.empty()) {
-    cs.on_cycle.assign(known_flags.begin(), known_flags.end());
+  if (known_flags.empty()) {
+    find_cycle_nodes_into(f, CycleDetectStrategy::EulerTour, cs.on_cycle);
   } else {
-    // Cycle nodes = image of f^N for any N >= n (every walk of length N
-    // ends on a cycle, and cycle nodes map onto themselves).
-    const u64 big = std::bit_ceil(static_cast<u64>(n));
-    const std::vector<u32> fn = iterate_function(f, big);
-    pram::parallel_for(0, n, [&](std::size_t x) {
-      cs.on_cycle[fn[x]] = 1;  // common-CRCW write
-    });
+    cs.on_cycle.assign(known_flags.begin(), known_flags.end());
   }
-  // Leader = min id on the cycle, by min-propagation doubling.
-  const int rounds = static_cast<int>(std::bit_width(static_cast<u64>(n - 1))) + 1;
-  std::vector<u32> lead(n), jump(n), lead2(n), jump2(n);
-  pram::parallel_for(0, n, [&](std::size_t x) {
-    lead[x] = static_cast<u32>(x);
-    jump[x] = f[x];
-  });
-  for (int r = 0; r < rounds; ++r) {
-    pram::parallel_for(0, n, [&](std::size_t x) {
-      if (!cs.on_cycle[x]) return;
-      lead2[x] = std::min(lead[x], lead[jump[x]]);
-      jump2[x] = jump[jump[x]];
-    });
-    lead.swap(lead2);
-    jump.swap(jump2);
-  }
-  // Distance to leader by absorbing pointer jumping.
-  std::vector<u32> dist(n, 0), nxt(n, kNone), dist2(n), nxt2(n);
-  pram::parallel_for(0, n, [&](std::size_t x) {
-    if (!cs.on_cycle[x]) return;
-    cs.leader[x] = lead[x];
-    if (lead[x] == static_cast<u32>(x)) {
-      dist[x] = 0;
-      nxt[x] = static_cast<u32>(x);  // leader absorbs
-    } else {
-      dist[x] = 1;
-      nxt[x] = f[x];
-    }
-  });
-  for (int r = 0; r < rounds; ++r) {
-    pram::parallel_for(0, n, [&](std::size_t x) {
-      if (!cs.on_cycle[x]) return;
-      const u32 j = nxt[x];
-      dist2[x] = dist[x] + dist[j];  // dist[leader] == 0, so absorption is free
-      nxt2[x] = nxt[j];
-    });
-    dist.swap(dist2);
-    nxt.swap(nxt2);
-  }
-  // Cycle length: 1 + max distance, accumulated at the leader.
-  std::vector<std::atomic<u32>> maxd(n);
-  pram::parallel_for(0, n, [&](std::size_t x) { maxd[x].store(0, std::memory_order_relaxed); });
-  pram::parallel_for(0, n, [&](std::size_t x) {
-    if (!cs.on_cycle[x]) return;
-    u32 cur = maxd[lead[x]].load(std::memory_order_relaxed);
-    while (dist[x] > cur &&
-           !maxd[lead[x]].compare_exchange_weak(cur, dist[x], std::memory_order_relaxed)) {
-    }
-  });
-  pram::parallel_for(0, n, [&](std::size_t x) {
-    if (!cs.on_cycle[x]) return;
-    const u32 len = maxd[lead[x]].load(std::memory_order_relaxed) + 1;
-    cs.length[x] = len;
-    cs.rank[x] = (len - dist[x]) % len;
-  });
+  cs.leader.resize(n);
+  cs.rank.resize(n);
+  cs.length.resize(n);
+  prim::label_orbits(f, cs.on_cycle, cs.leader, cs.rank, cs.length);
   arrange(cs);
 }
 
@@ -174,7 +109,7 @@ CycleStructure cycle_structure(std::span<const u32> f, CycleStructureStrategy st
       structure_sequential(f, cs);
       return cs;
     case CycleStructureStrategy::PointerJumping:
-      structure_doubling(f, {}, cs);
+      structure_orbits(f, {}, cs);
       return cs;
   }
   structure_sequential(f, cs);
@@ -194,7 +129,7 @@ void cycle_structure_with_flags_into(std::span<const u32> f, std::span<const u8>
     structure_sequential(f, cs);  // detects as a byproduct; flags agree
     return;
   }
-  structure_doubling(f, on_cycle, cs);
+  structure_orbits(f, on_cycle, cs);
 }
 
 }  // namespace sfcp::graph

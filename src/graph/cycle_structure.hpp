@@ -13,7 +13,10 @@ namespace sfcp::graph {
 
 enum class CycleStructureStrategy {
   Sequential,      ///< visited-walk, O(n) reference
-  PointerJumping,  ///< doubling (f^N image + min-propagation), O(n log n) work
+  /// The parallel strategy (the name is historical): Euler-tour detection
+  /// when no flags are given, then ruling-set orbit labelling of the cycle
+  /// nodes (prim::label_orbits), O(n) expected work.
+  PointerJumping,
 };
 
 struct CycleStructure {

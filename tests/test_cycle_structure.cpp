@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include "graph/cycle_structure.hpp"
+#include "pram/execution_context.hpp"
 #include "util/generators.hpp"
 #include "util/random.hpp"
 
@@ -114,6 +115,28 @@ TEST(CycleStructure, LongTailSingleCycle) {
     EXPECT_EQ(cs.num_cycles(), 1u);
     EXPECT_EQ(cs.cycle_length(0), 17u);
     check_invariants(cs, inst.f);
+  }
+}
+
+TEST(CycleStructure, ParallelMatchesSequentialAtBenchmarkSize) {
+  // The solve_cold families at their benchmark size, under a 4-thread
+  // session, so the ruling-set orbit labelling runs its parallel path.
+  const std::size_t n = 1u << 18;
+  util::Rng rng(511);
+  const graph::Instance insts[] = {util::random_function(n, 4, rng),
+                                   util::random_permutation(n, 3, rng),
+                                   util::long_tail(n, 257, 3, rng)};
+  pram::ScopedContext guard(pram::ExecutionContext{}.with_threads(4));
+  for (const auto& inst : insts) {
+    const auto seq = cycle_structure(inst.f, CycleStructureStrategy::Sequential);
+    const auto par = cycle_structure(inst.f, CycleStructureStrategy::PointerJumping);
+    EXPECT_EQ(seq.on_cycle, par.on_cycle);
+    EXPECT_EQ(seq.leader, par.leader);
+    EXPECT_EQ(seq.rank, par.rank);
+    EXPECT_EQ(seq.length, par.length);
+    EXPECT_EQ(seq.cycle_nodes, par.cycle_nodes);
+    EXPECT_EQ(seq.cycle_offset, par.cycle_offset);
+    EXPECT_EQ(seq.cycle_of, par.cycle_of);
   }
 }
 
