@@ -16,7 +16,7 @@ void BM_CycleLabeling(benchmark::State& state) {
   const std::size_t len = static_cast<std::size_t>(state.range(1));
   util::Rng rng(k * 3 + len);
   const auto inst = util::equal_cycles(k, len, 4, 3, rng);
-  const auto cs = graph::cycle_structure(inst.f, graph::CycleStructureStrategy::PointerJumping);
+  const auto cs = graph::cycle_structure(inst.f, graph::CycleStructureStrategy::OrbitLabel);
   for (auto _ : state) {
     benchmark::DoNotOptimize(core::label_cycles(inst, cs));
   }
@@ -29,7 +29,7 @@ void BM_CycleLabelingOneBigCycle(benchmark::State& state) {
   const std::size_t n = static_cast<std::size_t>(state.range(0));
   util::Rng rng(n);
   const auto inst = util::equal_cycles(1, n, 1, 3, rng);
-  const auto cs = graph::cycle_structure(inst.f, graph::CycleStructureStrategy::PointerJumping);
+  const auto cs = graph::cycle_structure(inst.f, graph::CycleStructureStrategy::OrbitLabel);
   core::CycleLabelingOptions opt;
   opt.msp = static_cast<strings::MspStrategy>(state.range(1));
   for (auto _ : state) {

@@ -29,7 +29,7 @@ int main(int argc, char** argv) {
 
   std::cout << "Map: x -> x^2 + " << c << " (mod " << n << ")\n";
   util::Timer timer;
-  const auto cs = graph::cycle_structure(inst.f, graph::CycleStructureStrategy::PointerJumping);
+  const auto cs = graph::cycle_structure(inst.f, graph::CycleStructureStrategy::OrbitLabel);
   std::cout << "Orbit structure (" << timer.millis() << " ms):\n"
             << "  components (cycles): " << cs.num_cycles() << "\n"
             << "  nodes on cycles:     " << cs.cycle_nodes.size() << "\n";

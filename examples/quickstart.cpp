@@ -23,7 +23,7 @@ int main() {
   // ---- 2. Step 1 of the paper: find the cycle nodes (Euler-tour method).
   const auto on_cycle = graph::find_cycle_nodes(inst.f, graph::CycleDetectStrategy::EulerTour);
   const auto cs = graph::cycle_structure_with_flags(inst.f, on_cycle,
-                                                    graph::CycleStructureStrategy::PointerJumping);
+                                                    graph::CycleStructureStrategy::OrbitLabel);
   std::cout << "Cycle structure: " << cs.num_cycles() << " cycles of lengths";
   for (std::size_t c = 0; c < cs.num_cycles(); ++c) std::cout << ' ' << cs.cycle_length(c);
   std::cout << "  (Fig. 1: 12 and 4)\n";

@@ -5,14 +5,14 @@
 //   $ ./sfcp_cli gen cycles 64 16 instance.txt      # 64 cycles of length 16
 //   $ ./sfcp_cli solve instance.txt                 # prints Q summary
 //   $ ./sfcp_cli solve instance.txt --strategy sequential
-//   $ ./sfcp_cli solve instance.txt --strategy powers-jump-double --threads 2
+//   $ ./sfcp_cli solve instance.txt --strategy euler-jump-double --threads 2
 //   $ ./sfcp_cli solve instance.txt --engine incremental
 //   $ ./sfcp_cli solve instance.txt --engine sharded --shards 4
 //   $ ./sfcp_cli solve instance.txt --engine incremental --policy adaptive
 //   $ ./sfcp_cli solve instance.txt --engine sharded --max-dirty-fraction 0.1
 //   $ ./sfcp_cli solve --help                        # full option list
 //   $ ./sfcp_cli classes instance.txt 5             # largest Q-classes
-//   $ ./sfcp_cli strategies                         # list registry entries
+//   $ ./sfcp_cli strategies                         # list the 14 registry entries
 //   $ ./sfcp_cli engines                            # list engine kinds
 //   $ ./sfcp_cli verify instance.txt                # solve + oracle check
 //   $ ./sfcp_cli stats instance.txt                 # orbit statistics

@@ -23,7 +23,7 @@ namespace sfcp::core {
 
 struct Options {
   graph::CycleDetectStrategy cycle_detect = graph::CycleDetectStrategy::EulerTour;
-  graph::CycleStructureStrategy cycle_structure = graph::CycleStructureStrategy::PointerJumping;
+  graph::CycleStructureStrategy cycle_structure = graph::CycleStructureStrategy::OrbitLabel;
   CycleLabelingOptions cycle_labeling{};
   TreeLabelingOptions tree_labeling{};
 

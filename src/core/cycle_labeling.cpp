@@ -79,16 +79,14 @@ ReducedCycles reduce_cycles(const graph::Instance& inst, const graph::CycleStruc
     labels[i] = inst.b[cs.cycle_nodes[i]];
   });
   // Period and m.s.p. per cycle.  Many small cycles -> parallelize across
-  // cycles with sequential kernels; few big cycles -> the configured
-  // parallel kernels operate within the cycle.
+  // cycles with sequential kernels; few big cycles -> the configured m.s.p.
+  // kernel runs within the cycle.
   const bool outer_parallel = k >= static_cast<std::size_t>(pram::threads()) * 2;
   auto process = [&](std::size_t c) {
     const u32 off = cs.cycle_offset[c];
     const u32 len = cs.cycle_offset[c + 1] - off;
     const std::span<const u32> s{labels.data() + off, len};
-    const u32 p = (opt.parallel_period && !outer_parallel)
-                      ? strings::smallest_period_parallel(s)
-                      : strings::smallest_period_seq(s);
+    const u32 p = strings::smallest_period_seq(s);
     const std::span<const u32> prefix = s.subspan(0, p);
     const strings::MspStrategy msp_strategy =
         outer_parallel ? strings::MspStrategy::Booth : opt.msp;
@@ -178,7 +176,7 @@ void label_cycles_into(const graph::Instance& inst, const graph::CycleStructure&
       const u32 c = by_period[run_begin + t];
       for (u32 i = 0; i < p; ++i) flat[t * L + i] = data[red.offsets[c] + i];
     });
-    const std::vector<u32> group_rep = partition_equal_strings(flat, kk, L, opt.partition_backend);
+    const std::vector<u32> group_rep = partition_equal_strings(flat, kk, L, RenameBackend::Hashed);
     pram::parallel_for(0, kk, [&](std::size_t t) {
       rep[by_period[run_begin + t]] = group_rep[t];
     });
@@ -186,8 +184,8 @@ void label_cycles_into(const graph::Instance& inst, const graph::CycleStructure&
   }
 
   // Global dense class ids: (period, representative) pairs, canonicalized
-  // to first-occurrence order over cycles so label assignment is
-  // deterministic regardless of backend.
+  // to first-occurrence order over cycles so label assignment does not
+  // depend on which representative each rename round picked.
   std::vector<u32> pair_label(k);
   {
     const auto pr = prim::rename_pairs_hashed(red.period, rep);

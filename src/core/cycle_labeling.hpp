@@ -22,10 +22,11 @@ enum class RenameBackend {
   Sorted,  ///< integer-sort based renaming (order-preserving; ablation A1)
 };
 
+/// Periods always come from the sequential KMP finder, one cycle at a time,
+/// and Algorithm partition always uses the hashed backend; only the m.s.p.
+/// method is a choice.
 struct CycleLabelingOptions {
   strings::MspStrategy msp = strings::MspStrategy::Efficient;
-  bool parallel_period = false;  ///< doubling-rank period finder instead of KMP
-  RenameBackend partition_backend = RenameBackend::Hashed;
 };
 
 struct CycleLabeling {

@@ -53,12 +53,11 @@ StrategyRegistry make_builtin_registry() {
 
   const std::pair<graph::CycleDetectStrategy, Dim> detects[] = {
       {graph::CycleDetectStrategy::Sequential, {"seq", "sequential visited-walk"}},
-      {graph::CycleDetectStrategy::FunctionPowers, {"powers", "f^N image by repeated squaring"}},
       {graph::CycleDetectStrategy::EulerTour, {"euler", "Euler-partition (paper §5)"}},
   };
   const std::pair<graph::CycleStructureStrategy, Dim> structures[] = {
       {graph::CycleStructureStrategy::Sequential, {"seq", "sequential visited-walk"}},
-      {graph::CycleStructureStrategy::PointerJumping, {"jump", "ruling-set orbit labelling"}},
+      {graph::CycleStructureStrategy::OrbitLabel, {"jump", "ruling-set orbit labelling"}},
   };
   const std::pair<TreeLabelStrategy, Dim> trees[] = {
       {TreeLabelStrategy::LevelSynchronous, {"level", "level-synchronous (O(n) work)"}},

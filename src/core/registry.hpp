@@ -11,8 +11,9 @@
 //   core::Options opt = sfcp::registry().at("euler-jump-level");
 //
 // Built-in names are `<detect>-<structure>-<tree>` over
-//   detect:    seq | powers | euler     (cycle-node detection, §5)
-//   structure: seq | jump               (cycle structure, §3 step 1)
+//   detect:    seq | euler              (cycle-node detection, §5)
+//   structure: seq | jump               (cycle structure, §3 step 1; `jump`
+//                                        selects CycleStructureStrategy::OrbitLabel)
 //   tree:      level | double | dfs     (tree-node labelling, §4 step 5)
 // plus the aliases "parallel" (the paper's default pipeline) and
 // "sequential" (the linear-time sequential baseline, Paige–Tarjan–Bonic's

@@ -11,7 +11,7 @@ Components connected_components(std::span<const u32> f, ForestStrategy strategy)
   Components out;
   out.id.assign(n, kNone);
   if (n == 0) return out;
-  const CycleStructure cs = cycle_structure(f, CycleStructureStrategy::PointerJumping);
+  const CycleStructure cs = cycle_structure(f, CycleStructureStrategy::OrbitLabel);
   const RootedForest forest = build_rooted_forest(f, cs.on_cycle);
   const ForestLevels lv = forest_levels(forest, strategy);
   // Component id = dense cycle id of the owning root's cycle.

@@ -1,6 +1,5 @@
 #include "graph/cycle_detect.hpp"
 
-#include <bit>
 #include <cassert>
 
 #include "graph/functional_graph.hpp"
@@ -35,14 +34,6 @@ void detect_sequential(std::span<const u32> f, std::vector<u8>& on_cycle) {
     for (const u32 x : path) color[x] = 2;
   }
   pram::charge(2 * n);
-}
-
-void detect_powers(std::span<const u32> f, std::vector<u8>& on_cycle) {
-  const std::size_t n = f.size();
-  on_cycle.assign(n, 0);
-  if (n == 0) return;
-  const std::vector<u32> fn = iterate_function(f, std::bit_ceil(static_cast<u64>(n)));
-  pram::parallel_for(0, n, [&](std::size_t x) { on_cycle[fn[x]] = 1; });
 }
 
 // Paper §5: Euler partition of the doubled pseudo-forest.
@@ -109,8 +100,6 @@ void find_cycle_nodes_into(std::span<const u32> f, CycleDetectStrategy strategy,
   switch (strategy) {
     case CycleDetectStrategy::Sequential:
       return detect_sequential(f, on_cycle);
-    case CycleDetectStrategy::FunctionPowers:
-      return detect_powers(f, on_cycle);
     case CycleDetectStrategy::EulerTour:
       return detect_euler(f, on_cycle);
   }

@@ -9,10 +9,8 @@
 // in different Euler cycles while a tree edge and its buddy share one.
 //
 // Strategies:
-//   * Sequential     — visited-walk reference, O(n)
-//   * FunctionPowers — cycle nodes = image of f^N (N >= n) by repeated
-//                      squaring, O(n log n) work / O(log n) depth
-//   * EulerTour      — the paper's §5 algorithm
+//   * Sequential — visited-walk reference, O(n)
+//   * EulerTour  — the paper's §5 algorithm
 
 #include <span>
 #include <vector>
@@ -21,7 +19,7 @@
 
 namespace sfcp::graph {
 
-enum class CycleDetectStrategy { Sequential, FunctionPowers, EulerTour };
+enum class CycleDetectStrategy { Sequential, EulerTour };
 
 /// on_cycle[x] = 1 iff x lies on a cycle of the functional graph of f.
 std::vector<u8> find_cycle_nodes(std::span<const u32> f,

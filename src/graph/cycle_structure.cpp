@@ -108,7 +108,7 @@ CycleStructure cycle_structure(std::span<const u32> f, CycleStructureStrategy st
     case CycleStructureStrategy::Sequential:
       structure_sequential(f, cs);
       return cs;
-    case CycleStructureStrategy::PointerJumping:
+    case CycleStructureStrategy::OrbitLabel:
       structure_orbits(f, {}, cs);
       return cs;
   }

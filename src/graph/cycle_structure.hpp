@@ -12,11 +12,10 @@
 namespace sfcp::graph {
 
 enum class CycleStructureStrategy {
-  Sequential,      ///< visited-walk, O(n) reference
-  /// The parallel strategy (the name is historical): Euler-tour detection
-  /// when no flags are given, then ruling-set orbit labelling of the cycle
-  /// nodes (prim::label_orbits), O(n) expected work.
-  PointerJumping,
+  Sequential,  ///< visited-walk, O(n) reference
+  /// Euler-tour detection when no flags are given, then ruling-set orbit
+  /// labelling of the cycle nodes (prim::label_orbits), O(n) expected work.
+  OrbitLabel,
 };
 
 struct CycleStructure {
@@ -39,8 +38,7 @@ struct CycleStructure {
 };
 
 CycleStructure cycle_structure(std::span<const u32> f,
-                               CycleStructureStrategy strategy =
-                                   CycleStructureStrategy::PointerJumping);
+                               CycleStructureStrategy strategy = CycleStructureStrategy::OrbitLabel);
 
 /// Variant with precomputed on-cycle flags (e.g. from find_cycle_nodes with
 /// the paper's §5 Euler-tour detector); skips re-detection where possible.

@@ -1,7 +1,6 @@
 #include "graph/rooted_forest.hpp"
 
 #include <atomic>
-#include <bit>
 #include <cassert>
 
 #include "graph/euler_tour.hpp"
@@ -108,38 +107,6 @@ ForestLevels levels_euler(const RootedForest& forest, const EulerTour& tour) {
   return out;
 }
 
-ForestLevels levels_doubling(const RootedForest& forest) {
-  const std::size_t n = forest.size();
-  ForestLevels out;
-  out.level.assign(n, 0);
-  out.root_of.assign(n, kNone);
-  if (n == 0) return out;
-  std::vector<u32> jump(n), lvl(n), jump2(n), lvl2(n);
-  pram::parallel_for(0, n, [&](std::size_t x) {
-    if (forest.is_root[x]) {
-      jump[x] = static_cast<u32>(x);
-      lvl[x] = 0;
-    } else {
-      jump[x] = forest.parent[x];
-      lvl[x] = 1;
-    }
-  });
-  const int rounds = static_cast<int>(std::bit_width(static_cast<u64>(n - 1))) + 1;
-  for (int r = 0; r < rounds; ++r) {
-    pram::parallel_for(0, n, [&](std::size_t x) {
-      lvl2[x] = lvl[x] + lvl[jump[x]];
-      jump2[x] = jump[jump[x]];
-    });
-    lvl.swap(lvl2);
-    jump.swap(jump2);
-  }
-  pram::parallel_for(0, n, [&](std::size_t x) {
-    out.level[x] = lvl[x];
-    out.root_of[x] = jump[x];
-  });
-  return out;
-}
-
 std::vector<i64> sums_sequential(const RootedForest& forest, std::span<const i64> vals) {
   const std::size_t n = forest.size();
   std::vector<i64> out(n, 0);
@@ -186,34 +153,6 @@ std::vector<i64> sums_euler(const RootedForest& forest, const EulerTour& tour,
   return out;
 }
 
-std::vector<i64> sums_doubling(const RootedForest& forest, std::span<const i64> vals) {
-  const std::size_t n = forest.size();
-  std::vector<i64> out(n, 0);
-  if (n == 0) return out;
-  std::vector<u32> jump(n), jump2(n);
-  std::vector<i64> acc(n), acc2(n);
-  pram::parallel_for(0, n, [&](std::size_t x) {
-    acc[x] = vals[x];
-    jump[x] = forest.is_root[x] ? kNone : forest.parent[x];
-  });
-  const int rounds = static_cast<int>(std::bit_width(static_cast<u64>(n - 1))) + 1;
-  for (int r = 0; r < rounds; ++r) {
-    pram::parallel_for(0, n, [&](std::size_t x) {
-      if (jump[x] != kNone) {
-        acc2[x] = acc[x] + acc[jump[x]];
-        jump2[x] = jump[jump[x]];
-      } else {
-        acc2[x] = acc[x];
-        jump2[x] = kNone;
-      }
-    });
-    acc.swap(acc2);
-    jump.swap(jump2);
-  }
-  pram::parallel_for(0, n, [&](std::size_t x) { out[x] = acc[x]; });
-  return out;
-}
-
 }  // namespace
 
 ForestPaths::ForestPaths(const RootedForest& forest, ForestStrategy strategy)
@@ -226,9 +165,6 @@ ForestPaths::ForestPaths(const RootedForest& forest, ForestStrategy strategy)
       tour_ = build_euler_tour(forest);
       levels_ = levels_euler(forest, tour_);
       break;
-    case ForestStrategy::AncestorDoubling:
-      levels_ = levels_doubling(forest);
-      break;
   }
 }
 
@@ -238,8 +174,6 @@ std::vector<i64> ForestPaths::root_path_sums(std::span<const i64> vals) const {
       return sums_sequential(forest_, vals);
     case ForestStrategy::EulerTour:
       return sums_euler(forest_, tour_, levels_.root_of, vals);
-    case ForestStrategy::AncestorDoubling:
-      return sums_doubling(forest_, vals);
   }
   return sums_sequential(forest_, vals);
 }

@@ -4,10 +4,9 @@
 // Every cycle node is the root of the tree formed by its non-cycle
 // predecessors; tree edges point child -> parent = f(child).  This module
 // builds children lists (deterministically: siblings in ascending id order)
-// and computes levels, owning roots and root-path prefix sums with three
-// interchangeable strategies (sequential BFS, Euler tour + segmented scan,
-// ancestor pointer doubling).  ForestPaths shares one Euler tour across all
-// of a caller's queries.
+// and computes levels, owning roots and root-path prefix sums with two
+// interchangeable strategies (sequential BFS, Euler tour + segmented scan).
+// ForestPaths shares one Euler tour across all of a caller's queries.
 
 #include <span>
 #include <utility>
@@ -33,7 +32,7 @@ struct RootedForest {
 
 RootedForest build_rooted_forest(std::span<const u32> f, std::span<const u8> on_cycle);
 
-enum class ForestStrategy { Sequential, EulerTour, AncestorDoubling };
+enum class ForestStrategy { Sequential, EulerTour };
 
 struct ForestLevels {
   std::vector<u32> level;    ///< 0 for roots

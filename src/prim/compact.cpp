@@ -7,16 +7,9 @@ std::vector<u32> pack_index(std::span<const u8> flags) {
 }
 
 std::vector<u32> pack_values(std::span<const u32> values, std::span<const u8> flags) {
-  const std::size_t n = values.size();
-  std::vector<u32> flag(n);
-  pram::parallel_for(0, n, [&](std::size_t i) { flag[i] = flags[i] ? 1u : 0u; });
-  std::vector<u32> pos(n);
-  const u32 total = exclusive_scan<u32>(flag, pos);
-  std::vector<u32> out(total);
-  pram::parallel_for(0, n, [&](std::size_t i) {
-    if (flag[i]) out[pos[i]] = values[i];
-  });
-  return out;
+  return pack_if(
+      values.size(), [&](std::size_t i) { return flags[i] != 0; },
+      [&](std::size_t i) { return values[i]; });
 }
 
 }  // namespace sfcp::prim

@@ -1,29 +1,45 @@
 #pragma once
 // Parallel compaction (a.k.a. pack / filter): collect the indices or values
-// whose flag is set, preserving order.  Scan-based, O(n) work.
+// whose flag is set, preserving order.  O(n) work in two rounds over
+// pram::parallel_blocks: each block counts its hits, a prefix over the
+// per-block counts gives each block its first output slot, and each block
+// writes its own share.  No n-sized scratch array; the predicate is called
+// twice per index, so it must be pure.
 
 #include <cstddef>
+#include <numeric>
 #include <span>
 #include <vector>
 
 #include "pram/parallel_for.hpp"
 #include "pram/types.hpp"
-#include "prim/scan.hpp"
 
 namespace sfcp::prim {
+
+/// Returns value(i) for each i (ascending) for which pred(i) is truthy.
+template <typename Pred, typename Value>
+std::vector<u32> pack_if(std::size_t n, Pred&& pred, Value&& value) {
+  std::vector<u32> block_at(static_cast<std::size_t>(pram::num_blocks(n)) + 1, 0);
+  pram::parallel_blocks(n, [&](int b, std::size_t lo, std::size_t hi) {
+    u32 c = 0;
+    for (std::size_t i = lo; i < hi; ++i) c += pred(i) ? 1u : 0u;
+    block_at[static_cast<std::size_t>(b) + 1] = c;
+  });
+  std::partial_sum(block_at.begin(), block_at.end(), block_at.begin());
+  std::vector<u32> out(block_at.back());
+  pram::parallel_blocks(n, [&](int b, std::size_t lo, std::size_t hi) {
+    u32 at = block_at[static_cast<std::size_t>(b)];
+    for (std::size_t i = lo; i < hi; ++i) {
+      if (pred(i)) out[at++] = value(i);
+    }
+  });
+  return out;
+}
 
 /// Returns the indices i (ascending) for which pred(i) is truthy.
 template <typename Pred>
 std::vector<u32> pack_index_if(std::size_t n, Pred&& pred) {
-  std::vector<u32> flag(n);
-  pram::parallel_for(0, n, [&](std::size_t i) { flag[i] = pred(i) ? 1u : 0u; });
-  std::vector<u32> pos(n);
-  const u32 total = exclusive_scan<u32>(flag, pos);
-  std::vector<u32> out(total);
-  pram::parallel_for(0, n, [&](std::size_t i) {
-    if (flag[i]) out[pos[i]] = static_cast<u32>(i);
-  });
-  return out;
+  return pack_if(n, pred, [](std::size_t i) { return static_cast<u32>(i); });
 }
 
 /// Returns the indices i with flags[i] != 0, ascending.

@@ -99,7 +99,6 @@
 #include "core/partition_view.hpp"
 #include "core/registry.hpp"
 #include "core/solver.hpp"
-#include "core/trace.hpp"
 #include "core/tree_labeling.hpp"
 #include "core/verify.hpp"
 #include "engine.hpp"

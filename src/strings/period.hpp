@@ -8,6 +8,8 @@
 //   * `smallest_period_parallel`— doubling-rank table + O(1) substring
 //                                 equality per divisor, O(n log n) work /
 //                                 O(log n) depth (documented substitution)
+// Cycle labelling uses the sequential finder, one cycle per processor; the
+// parallel one is kept as a primitive (benchmarked in bench_msp).
 
 #include <span>
 #include <vector>

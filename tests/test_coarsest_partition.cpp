@@ -121,18 +121,14 @@ struct NamedOptions {
 
 std::vector<NamedOptions> strategy_matrix() {
   std::vector<NamedOptions> out;
-  for (const auto cd : {graph::CycleDetectStrategy::Sequential,
-                        graph::CycleDetectStrategy::FunctionPowers,
-                        graph::CycleDetectStrategy::EulerTour}) {
+  for (const auto cd :
+       {graph::CycleDetectStrategy::Sequential, graph::CycleDetectStrategy::EulerTour}) {
     for (const auto msp : {strings::MspStrategy::Booth, strings::MspStrategy::Simple,
                            strings::MspStrategy::Efficient}) {
-      for (const auto backend : {core::RenameBackend::Hashed, core::RenameBackend::Sorted}) {
-        Options o = Options::parallel();
-        o.cycle_detect = cd;
-        o.cycle_labeling.msp = msp;
-        o.cycle_labeling.partition_backend = backend;
-        out.push_back({"combo", o});
-      }
+      Options o = Options::parallel();
+      o.cycle_detect = cd;
+      o.cycle_labeling.msp = msp;
+      out.push_back({"combo", o});
     }
   }
   return out;

@@ -1,7 +1,13 @@
 // Unit tests for parallel compaction (pack by flag / predicate).
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "pram/config.hpp"
+#include "pram/execution_context.hpp"
+#include "pram/metrics.hpp"
+#include "pram/worker_pool.hpp"
 #include "prim/compact.hpp"
 #include "util/random.hpp"
 
@@ -51,6 +57,47 @@ TEST(Compact, OrderPreservedOnLargeRandom) {
   for (const std::size_t grain : {64u, 1u << 22}) {
     pram::ScopedGrain g(grain);
     EXPECT_EQ(prim::pack_index(flags), ref) << "grain=" << grain;
+  }
+}
+
+// Sizes on both sides of multiples of the grain put block edges next to
+// every kind of hit, under every thread budget and on a worker pool.  Output
+// and PRAM charges must match the one-thread run.
+TEST(Compact, BlockEdgesAndThreadBudgetsMatchOneThread) {
+  util::Rng rng(13);
+  pram::WorkerPool pool(3);
+  for (const std::size_t n : {1u, 63u, 64u, 65u, 127u, 128u, 129u, 191u, 192u, 193u, 255u, 256u,
+                              257u, 319u, 320u, 321u, 513u, 1000u}) {
+    for (const double density : {0.0, 0.05, 0.5, 1.0}) {
+      std::vector<u8> flags(n);
+      std::vector<u32> vals(n);
+      std::vector<u32> want_idx, want_vals;
+      for (u32 i = 0; i < n; ++i) {
+        flags[i] = rng.chance(density) ? 1 : 0;
+        vals[i] = static_cast<u32>(rng.next());
+        if (flags[i]) {
+          want_idx.push_back(i);
+          want_vals.push_back(vals[i]);
+        }
+      }
+      pram::MetricsSnapshot one{};
+      const auto check = [&](pram::ExecutionContext ctx, const std::string& what) {
+        pram::Metrics m;
+        pram::ScopedContext guard(ctx.with_grain(64).with_metrics(&m));
+        EXPECT_EQ(prim::pack_index(flags), want_idx) << "n=" << n << " " << what;
+        EXPECT_EQ(prim::pack_values(vals, flags), want_vals) << "n=" << n << " " << what;
+        const auto got = m.snapshot();
+        if (what == "t=1") one = got;
+        EXPECT_EQ(got.operations, one.operations) << "n=" << n << " " << what;
+        EXPECT_EQ(got.rounds, one.rounds) << "n=" << n << " " << what;
+      };
+      for (const int t : {1, 2, 3, 4, 8}) {
+        check(pram::ExecutionContext{}.with_threads(t), "t=" + std::to_string(t));
+      }
+      auto pooled = pram::ExecutionContext{}.with_threads(3);
+      pooled.pool = &pool;
+      check(pooled, "pool3");
+    }
   }
 }
 

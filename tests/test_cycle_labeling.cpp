@@ -13,7 +13,6 @@ namespace sfcp {
 namespace {
 
 using core::CycleLabeling;
-using core::CycleLabelingOptions;
 using core::label_cycles;
 using core::partition_equal_strings;
 using core::RenameBackend;
@@ -68,11 +67,9 @@ TEST(PartitionEqualStrings, RandomMatchesDirectComparison) {
   }
 }
 
-CycleLabeling label(const graph::Instance& inst, RenameBackend backend = RenameBackend::Hashed) {
+CycleLabeling label(const graph::Instance& inst) {
   const auto cs = cycle_structure(inst.f, graph::CycleStructureStrategy::Sequential);
-  CycleLabelingOptions opt;
-  opt.partition_backend = backend;
-  return label_cycles(inst, cs, opt);
+  return label_cycles(inst, cs);
 }
 
 TEST(CycleLabeling, PaperExample31) {
@@ -123,16 +120,6 @@ TEST(CycleLabeling, RotatedCyclesAreEquivalent) {
   EXPECT_EQ(cl.num_classes, 1u);
   EXPECT_EQ(cl.num_labels, 4u);
   EXPECT_EQ(cl.q[0], cl.q[6]);  // both carry label 1 at necklace position of '1'
-}
-
-TEST(CycleLabeling, BackendsAgree) {
-  util::Rng rng(907);
-  for (int iter = 0; iter < 25; ++iter) {
-    const auto inst = util::random_permutation(1 + rng.below(800), 2, rng);
-    const auto hashed = label(inst, RenameBackend::Hashed);
-    const auto sorted = label(inst, RenameBackend::Sorted);
-    EXPECT_EQ(hashed.q, sorted.q) << "labels must be identical after canonical base assignment";
-  }
 }
 
 TEST(CycleLabeling, MatchesOracleOnPermutations) {

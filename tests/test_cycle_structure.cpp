@@ -46,7 +46,7 @@ void check_invariants(const CycleStructure& cs, std::span<const u32> f) {
 
 TEST(CycleStructure, SelfLoop) {
   std::vector<u32> f{0};
-  for (auto strat : {CycleStructureStrategy::Sequential, CycleStructureStrategy::PointerJumping}) {
+  for (auto strat : {CycleStructureStrategy::Sequential, CycleStructureStrategy::OrbitLabel}) {
     const auto cs = cycle_structure(f, strat);
     EXPECT_EQ(cs.num_cycles(), 1u);
     EXPECT_EQ(cs.on_cycle[0], 1);
@@ -58,7 +58,7 @@ TEST(CycleStructure, SelfLoop) {
 TEST(CycleStructure, TwoCycleWithTail) {
   // 0 <-> 1, 2 -> 0, 3 -> 2
   std::vector<u32> f{1, 0, 0, 2};
-  for (auto strat : {CycleStructureStrategy::Sequential, CycleStructureStrategy::PointerJumping}) {
+  for (auto strat : {CycleStructureStrategy::Sequential, CycleStructureStrategy::OrbitLabel}) {
     const auto cs = cycle_structure(f, strat);
     EXPECT_EQ(cs.num_cycles(), 1u);
     EXPECT_EQ(cs.on_cycle[0], 1);
@@ -73,7 +73,7 @@ TEST(CycleStructure, TwoCycleWithTail) {
 
 TEST(CycleStructure, PaperFig1TwoCycles) {
   const auto inst = util::paper_example_2_2();
-  for (auto strat : {CycleStructureStrategy::Sequential, CycleStructureStrategy::PointerJumping}) {
+  for (auto strat : {CycleStructureStrategy::Sequential, CycleStructureStrategy::OrbitLabel}) {
     const auto cs = cycle_structure(inst.f, strat);
     EXPECT_EQ(cs.num_cycles(), 2u);  // lengths 12 and 4 (Fig. 1)
     EXPECT_EQ(cs.cycle_length(0) + cs.cycle_length(1), 16u);
@@ -88,7 +88,7 @@ TEST(CycleStructure, StrategiesAgreeExactly) {
   for (int iter = 0; iter < 30; ++iter) {
     const auto inst = util::random_function(1 + rng.below(2000), 3, rng);
     const auto seq = cycle_structure(inst.f, CycleStructureStrategy::Sequential);
-    const auto par = cycle_structure(inst.f, CycleStructureStrategy::PointerJumping);
+    const auto par = cycle_structure(inst.f, CycleStructureStrategy::OrbitLabel);
     EXPECT_EQ(seq.on_cycle, par.on_cycle);
     EXPECT_EQ(seq.leader, par.leader);
     EXPECT_EQ(seq.rank, par.rank);
@@ -101,7 +101,7 @@ TEST(CycleStructure, StrategiesAgreeExactly) {
 TEST(CycleStructure, PermutationIsAllCycles) {
   util::Rng rng(503);
   const auto inst = util::random_permutation(5000, 3, rng);
-  const auto cs = cycle_structure(inst.f, CycleStructureStrategy::PointerJumping);
+  const auto cs = cycle_structure(inst.f, CycleStructureStrategy::OrbitLabel);
   EXPECT_EQ(cs.cycle_nodes.size(), 5000u);
   for (u32 x = 0; x < 5000; ++x) EXPECT_EQ(cs.on_cycle[x], 1);
   check_invariants(cs, inst.f);
@@ -110,7 +110,7 @@ TEST(CycleStructure, PermutationIsAllCycles) {
 TEST(CycleStructure, LongTailSingleCycle) {
   util::Rng rng(509);
   const auto inst = util::long_tail(10000, 17, 3, rng);
-  for (auto strat : {CycleStructureStrategy::Sequential, CycleStructureStrategy::PointerJumping}) {
+  for (auto strat : {CycleStructureStrategy::Sequential, CycleStructureStrategy::OrbitLabel}) {
     const auto cs = cycle_structure(inst.f, strat);
     EXPECT_EQ(cs.num_cycles(), 1u);
     EXPECT_EQ(cs.cycle_length(0), 17u);
@@ -129,7 +129,7 @@ TEST(CycleStructure, ParallelMatchesSequentialAtBenchmarkSize) {
   pram::ScopedContext guard(pram::ExecutionContext{}.with_threads(4));
   for (const auto& inst : insts) {
     const auto seq = cycle_structure(inst.f, CycleStructureStrategy::Sequential);
-    const auto par = cycle_structure(inst.f, CycleStructureStrategy::PointerJumping);
+    const auto par = cycle_structure(inst.f, CycleStructureStrategy::OrbitLabel);
     EXPECT_EQ(seq.on_cycle, par.on_cycle);
     EXPECT_EQ(seq.leader, par.leader);
     EXPECT_EQ(seq.rank, par.rank);
@@ -146,7 +146,7 @@ TEST_P(CycleStructureSweep, InvariantsOnRandomFunctions) {
   const std::size_t n = GetParam();
   util::Rng rng(n);
   const auto inst = util::random_function(n, 4, rng);
-  for (auto strat : {CycleStructureStrategy::Sequential, CycleStructureStrategy::PointerJumping}) {
+  for (auto strat : {CycleStructureStrategy::Sequential, CycleStructureStrategy::OrbitLabel}) {
     check_invariants(cycle_structure(inst.f, strat), inst.f);
   }
 }

@@ -158,9 +158,8 @@ TEST(SolverProperties, AllCycleDetectStrategiesOnShapedSuite) {
       default: inst = util::mergeable(600, 3, rng); break;
     }
     const auto ref = solve(inst, Options::sequential());
-    for (const auto cd : {graph::CycleDetectStrategy::Sequential,
-                          graph::CycleDetectStrategy::FunctionPowers,
-                          graph::CycleDetectStrategy::EulerTour}) {
+    for (const auto cd :
+         {graph::CycleDetectStrategy::Sequential, graph::CycleDetectStrategy::EulerTour}) {
       Options o = Options::parallel();
       o.cycle_detect = cd;
       EXPECT_EQ(solve(inst, o).q, ref.q) << "shape=" << shape;

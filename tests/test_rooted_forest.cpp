@@ -1,5 +1,5 @@
 // Unit tests for rooted-forest construction, levels, owning roots and
-// root-path sums across the three strategies.
+// root-path sums across the two strategies.
 #include <gtest/gtest.h>
 
 #include "graph/cycle_structure.hpp"
@@ -17,8 +17,7 @@ using graph::ForestStrategy;
 using graph::root_path_sums;
 using graph::RootedForest;
 
-const auto kAll = {ForestStrategy::Sequential, ForestStrategy::EulerTour,
-                   ForestStrategy::AncestorDoubling};
+const auto kAll = {ForestStrategy::Sequential, ForestStrategy::EulerTour};
 
 RootedForest forest_of(const graph::Instance& inst) {
   const auto cs = cycle_structure(inst.f, graph::CycleStructureStrategy::Sequential);
@@ -73,11 +72,9 @@ TEST(ForestLevelsTest, StrategiesAgreeOnRandom) {
     const auto inst = util::random_function(1 + rng.below(3000), 3, rng);
     const auto forest = forest_of(inst);
     const auto ref = forest_levels(forest, ForestStrategy::Sequential);
-    for (auto strat : {ForestStrategy::EulerTour, ForestStrategy::AncestorDoubling}) {
-      const auto got = forest_levels(forest, strat);
-      EXPECT_EQ(got.level, ref.level) << static_cast<int>(strat);
-      EXPECT_EQ(got.root_of, ref.root_of) << static_cast<int>(strat);
-    }
+    const auto got = forest_levels(forest, ForestStrategy::EulerTour);
+    EXPECT_EQ(got.level, ref.level);
+    EXPECT_EQ(got.root_of, ref.root_of);
   }
 }
 
@@ -108,7 +105,6 @@ TEST(RootPathSums, RandomValuesMatchSequential) {
     for (auto& v : vals) v = static_cast<i64>(rng.below(19)) - 9;
     const auto ref = root_path_sums(forest, vals, ForestStrategy::Sequential);
     EXPECT_EQ(root_path_sums(forest, vals, ForestStrategy::EulerTour), ref);
-    EXPECT_EQ(root_path_sums(forest, vals, ForestStrategy::AncestorDoubling), ref);
   }
 }
 
@@ -119,7 +115,6 @@ TEST(RootPathSums, DeepPathNoOverflow) {
   std::vector<i64> ones(forest.size(), 1);
   const auto ref = root_path_sums(forest, ones, ForestStrategy::Sequential);
   EXPECT_EQ(root_path_sums(forest, ones, ForestStrategy::EulerTour), ref);
-  EXPECT_EQ(root_path_sums(forest, ones, ForestStrategy::AncestorDoubling), ref);
   EXPECT_EQ(*std::max_element(ref.begin(), ref.end()), 29999);
 }
 

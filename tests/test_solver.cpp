@@ -54,14 +54,15 @@ std::vector<graph::Instance> mixed_workload(std::size_t count, u64 seed) {
 
 TEST(Registry, EnumeratesEveryCombinationPlusAliases) {
   const auto& reg = sfcp::registry();
-  // 3 detectors x 2 structures x 3 tree labelers + parallel + sequential.
-  EXPECT_EQ(reg.all().size(), 3u * 2u * 3u + 2u);
+  // 2 detectors x 2 structures x 3 tree labelers + parallel + sequential.
+  EXPECT_EQ(reg.all().size(), 2u * 2u * 3u + 2u);
   std::set<std::string> names;
   for (const auto& e : reg.all()) names.insert(e.name);
   EXPECT_EQ(names.size(), reg.all().size()) << "registry names must be unique";
   EXPECT_NE(reg.find("parallel"), nullptr);
   EXPECT_NE(reg.find("sequential"), nullptr);
   EXPECT_NE(reg.find("euler-jump-level"), nullptr);
+  EXPECT_EQ(reg.find("powers-jump-level"), nullptr);
   EXPECT_EQ(reg.find("no-such-strategy"), nullptr);
   try {
     (void)reg.at("no-such-strategy");

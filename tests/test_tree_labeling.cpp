@@ -30,8 +30,7 @@ Options with(TreeLabelStrategy ts, ForestStrategy fs) {
 const TreeLabelStrategy kTree[] = {TreeLabelStrategy::LevelSynchronous,
                                    TreeLabelStrategy::AncestorDoubling,
                                    TreeLabelStrategy::SequentialDFS};
-const ForestStrategy kForest[] = {ForestStrategy::Sequential, ForestStrategy::EulerTour,
-                                  ForestStrategy::AncestorDoubling};
+const ForestStrategy kForest[] = {ForestStrategy::Sequential, ForestStrategy::EulerTour};
 
 TEST(TreeLabeling, KeptNodeCopiesCycleLabel) {
   // Self-loop 0 with b=7; tree node 1 -> 0 with b=7 matches the cycle label
