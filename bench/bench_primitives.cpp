@@ -1,12 +1,11 @@
 // E9 / A2 — substrate microbenchmarks: scan, integer sort, list ranking
-// (three strategies), find-first, Euler tour construction.
+// (three strategies), find-first, tree levels off the Euler partition.
 #include <benchmark/benchmark.h>
 
 #include <numeric>
 #include <string>
 
-#include "graph/cycle_structure.hpp"
-#include "graph/euler_tour.hpp"
+#include "graph/cycle_detect.hpp"
 #include "graph/rooted_forest.hpp"
 #include "pram/config.hpp"
 #include "prim/find_first.hpp"
@@ -86,17 +85,20 @@ void BM_FindFirst(benchmark::State& state) {
 }
 BENCHMARK(BM_FindFirst)->Range(1 << 14, 1 << 22);
 
-void BM_EulerTourBuild(benchmark::State& state) {
+// Levels and owning roots read off the Euler partition the cycle detector
+// keeps (the partition itself is built once, outside the timed loop).
+void BM_ForestLevelsFromPartition(benchmark::State& state) {
   const std::size_t n = static_cast<std::size_t>(state.range(0));
   util::Rng rng(4);
   const auto inst = util::random_function(n, 3, rng);
-  const auto cs = graph::cycle_structure(inst.f, graph::CycleStructureStrategy::Sequential);
-  const auto forest = graph::build_rooted_forest(inst.f, cs.on_cycle);
+  std::vector<u8> on_cycle;
+  graph::EulerPartition partition;
+  graph::find_cycle_nodes_into(inst.f, graph::CycleDetectStrategy::EulerTour, on_cycle, partition);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(graph::build_euler_tour(forest));
+    benchmark::DoNotOptimize(graph::ForestPaths(inst.f, on_cycle, partition).levels());
   }
   state.SetItemsProcessed(static_cast<i64>(state.iterations()) * static_cast<i64>(n));
 }
-BENCHMARK(BM_EulerTourBuild)->Range(1 << 14, 1 << 20);
+BENCHMARK(BM_ForestLevelsFromPartition)->Range(1 << 14, 1 << 20);
 
 }  // namespace

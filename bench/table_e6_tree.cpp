@@ -4,7 +4,8 @@
 // realizes the Kedem–Palem O(n)-operation bound (depth = tree height),
 // AncestorDoubling trades O(n log d) work for O(log n) depth, and
 // SequentialDFS is the reference.  Shapes: deep path (worst depth), bushy
-// (worst fan-out), random (typical ~sqrt(n) depth).
+// (worst fan-out), random (typical ~sqrt(n) depth).  Exits non-zero if the
+// strategies disagree on the partition (blocks or labels) of any shape.
 #include <iostream>
 
 #include "core/coarsest_partition.hpp"
@@ -24,6 +25,7 @@ int main(int argc, char** argv) {
   util::Table table({"n", "shape", "strategy", "blocks", "ops", "ops/n", "ms"});
   util::Rng rng(6);
 
+  // Returns the partition so the caller can compare strategies.
   const auto run = [&](const char* shape, const graph::Instance& inst,
                        core::TreeLabelStrategy strat, const char* name) {
     core::Options opt = core::Options::parallel();
@@ -39,8 +41,10 @@ int main(int argc, char** argv) {
     table.add_row(inst.size(), shape, name, r.num_blocks, m.ops(),
                   static_cast<double>(m.ops()) / static_cast<double>(inst.size()), ms);
     json.record("e6_tree", inst.size(), std::string(name) + "/" + shape, pram::threads(), ms);
+    return r;
   };
 
+  int mismatches = 0;
   for (int e = 16; e <= 20; e += 2) {
     const std::size_t n = std::size_t{1} << e;
     const auto deep = util::long_tail(n, 16, 2, rng);
@@ -50,14 +54,22 @@ int main(int argc, char** argv) {
          {std::pair<const char*, const graph::Instance*>{"deep-path", &deep},
           {"bushy", &wide},
           {"random", &rnd}}) {
-      run(shape, *inst, core::TreeLabelStrategy::LevelSynchronous, "level-sync (KP O(n))");
-      run(shape, *inst, core::TreeLabelStrategy::AncestorDoubling, "ancestor-doubling");
-      run(shape, *inst, core::TreeLabelStrategy::SequentialDFS, "sequential dfs");
+      const auto level =
+          run(shape, *inst, core::TreeLabelStrategy::LevelSynchronous, "level-sync (KP O(n))");
+      const auto doubling =
+          run(shape, *inst, core::TreeLabelStrategy::AncestorDoubling, "ancestor-doubling");
+      const auto dfs = run(shape, *inst, core::TreeLabelStrategy::SequentialDFS, "sequential dfs");
+      for (const core::Result* r : {&level, &doubling}) {
+        if (r->num_blocks != dfs.num_blocks || r->q != dfs.q) {
+          std::cerr << "E6: strategies disagree on " << shape << " n=" << n << "\n";
+          ++mismatches;
+        }
+      }
     }
   }
   table.print();
   std::cout << "\n(level-sync's ops/n stays flat across shapes — the O(n) operation\n"
             << " bound of Lemma 4.3; ancestor-doubling pays a log(depth) factor on\n"
             << " the deep-path shape and wins depth instead.)\n";
-  return 0;
+  return mismatches == 0 ? 0 : 1;
 }

@@ -59,12 +59,13 @@ Result solve(const graph::Instance& inst, const Options& opt, SolveWorkspace& ws
   prof::Scope prof_solve("solve");
 
   // Step 1 (Section 5): mark the cycle nodes with the configured detector
-  // (Euler tour by default, per the paper), then derive the full cycle
-  // structure (leader, rank, contiguous arrangement).
+  // (Euler tour by default, per the paper, keeping its Euler partition for
+  // step 3), then derive the full cycle structure (leader, rank, contiguous
+  // arrangement).
   {
     prof::Scope s("cycle_detect");
     prof::charge_bytes(8 * n);  // read f, write on_cycle (one logical pass)
-    graph::find_cycle_nodes_into(inst.f, opt.cycle_detect, ws.on_cycle);
+    graph::find_cycle_nodes_into(inst.f, opt.cycle_detect, ws.on_cycle, ws.euler);
   }
   {
     prof::Scope s("cycle_structure");
@@ -83,9 +84,9 @@ Result solve(const graph::Instance& inst, const Options& opt, SolveWorkspace& ws
   // Step 3 (Section 4): Q-labels of tree nodes.
   {
     prof::Scope s("tree_label");
-    prof::charge_bytes(16 * n);  // forest build + signature passes
+    prof::charge_bytes(16 * n);  // tour scans + signature passes
     prof::charge_flops(2 * n);
-    label_trees_into(inst, ws.cs, ws.cl, opt.tree_labeling, ws.tl);
+    label_trees_into(inst, ws.cs, ws.cl, opt.tree_labeling, ws.euler, ws.tl);
   }
 
   // Canonicalize to first-occurrence dense labels.

@@ -54,6 +54,7 @@ struct Result {
 /// independent of whatever a previous solve left behind.
 struct SolveWorkspace {
   std::vector<u8> on_cycle;
+  graph::EulerPartition euler;  ///< the detector's, reused by tree labelling
   graph::CycleStructure cs;
   CycleLabeling cl;
   TreeLabeling tl;

@@ -2,6 +2,7 @@
 
 #include <bit>
 #include <cassert>
+#include <optional>
 #include <unordered_map>
 
 #include "pram/parallel_for.hpp"
@@ -168,6 +169,12 @@ TreeLabeling label_trees(const graph::Instance& inst, const graph::CycleStructur
 
 void label_trees_into(const graph::Instance& inst, const graph::CycleStructure& cs,
                       const CycleLabeling& cl, const TreeLabelingOptions& opt, TreeLabeling& out) {
+  label_trees_into(inst, cs, cl, opt, graph::EulerPartition{}, out);
+}
+
+void label_trees_into(const graph::Instance& inst, const graph::CycleStructure& cs,
+                      const CycleLabeling& cl, const TreeLabelingOptions& opt,
+                      const graph::EulerPartition& partition, TreeLabeling& out) {
   const std::size_t n = inst.size();
   out.q = cl.q;
   out.kept = 0;
@@ -175,9 +182,19 @@ void label_trees_into(const graph::Instance& inst, const graph::CycleStructure& 
   // Every node on a cycle (a permutation): there are no trees to label.
   if (cs.cycle_nodes.size() == n) return;
 
-  const graph::RootedForest forest = graph::build_rooted_forest(inst.f, cs.on_cycle);
-  const graph::ForestPaths paths(forest, opt.forest);
-  const graph::ForestLevels& lv = paths.levels();
+  // Children lists only where a strategy walks them.
+  std::optional<graph::RootedForest> forest;
+  if (opt.forest == graph::ForestStrategy::Sequential ||
+      opt.strategy == TreeLabelStrategy::SequentialDFS) {
+    forest = graph::build_rooted_forest(inst.f, cs.on_cycle);
+  }
+  std::optional<graph::ForestPaths> paths;
+  if (opt.forest == graph::ForestStrategy::Sequential) {
+    paths.emplace(*forest, opt.forest);
+  } else {
+    paths.emplace(inst.f, cs.on_cycle, partition);
+  }
+  const graph::ForestLevels& lv = paths->levels();
 
   // Steps 1-2: mark tree nodes whose B-label matches the corresponding
   // cycle node (Lemma 4.1); cycle nodes are trivially marked.
@@ -198,7 +215,7 @@ void label_trees_into(const graph::Instance& inst, const graph::CycleStructure& 
   // of "unmarked" indicators must be zero.
   std::vector<i64> bad(n);
   pram::parallel_for(0, n, [&](std::size_t x) { bad[x] = marked[x] ? 0 : 1; });
-  const std::vector<i64> bad_on_path = paths.root_path_sums(bad);
+  const std::vector<i64> bad_on_path = paths->root_path_sums(bad);
 
   // Step 4: kept nodes copy their corresponding cycle node's Q-label.
   Residual res;
@@ -225,7 +242,7 @@ void label_trees_into(const graph::Instance& inst, const graph::CycleStructure& 
       label_ancestor_doubling(inst, res, out.q, fresh_base);
       break;
     case TreeLabelStrategy::SequentialDFS:
-      label_sequential_dfs(inst, forest, res, out.q, fresh_base);
+      label_sequential_dfs(inst, *forest, res, out.q, fresh_base);
       break;
   }
 }

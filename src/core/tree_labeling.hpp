@@ -13,11 +13,16 @@
 //   * LevelSynchronous — O(n) work, depth = residual tree height
 //   * AncestorDoubling — O(log n) depth, O(n log depth) work
 //   * SequentialDFS    — O(n) reference
+// Levels, owning roots and the step-3 root-path sums come from
+// graph::ForestPaths: under ForestStrategy::EulerTour they are read off the
+// cycle detector's Euler partition (no children lists are built unless
+// SequentialDFS walks them); under Sequential, off a graph::RootedForest.
 
 #include <span>
 #include <vector>
 
 #include "core/cycle_labeling.hpp"
+#include "graph/cycle_detect.hpp"
 #include "graph/cycle_structure.hpp"
 #include "graph/functional_graph.hpp"
 #include "graph/rooted_forest.hpp"
@@ -43,8 +48,16 @@ TreeLabeling label_trees(const graph::Instance& inst, const graph::CycleStructur
                          const CycleLabeling& cl, const TreeLabelingOptions& opt = {});
 
 /// Workspace-reusing variant: rebuilds `out` in place, reusing its vector's
-/// capacity across calls.
+/// capacity across calls.  Under ForestStrategy::EulerTour it builds the
+/// Euler partition of inst.f itself.
 void label_trees_into(const graph::Instance& inst, const graph::CycleStructure& cs,
                       const CycleLabeling& cl, const TreeLabelingOptions& opt, TreeLabeling& out);
+
+/// As above, reading the tree quantities off `partition`, the Euler
+/// partition graph::find_cycle_nodes_into kept for inst.f (core::solve
+/// passes its detector's); an empty one is built here when needed.
+void label_trees_into(const graph::Instance& inst, const graph::CycleStructure& cs,
+                      const CycleLabeling& cl, const TreeLabelingOptions& opt,
+                      const graph::EulerPartition& partition, TreeLabeling& out);
 
 }  // namespace sfcp::core

@@ -2,6 +2,7 @@
 
 #include <atomic>
 
+#include "graph/cycle_detect.hpp"
 #include "pram/parallel_for.hpp"
 
 namespace sfcp::graph {
@@ -11,9 +12,14 @@ Components connected_components(std::span<const u32> f, ForestStrategy strategy)
   Components out;
   out.id.assign(n, kNone);
   if (n == 0) return out;
-  const CycleStructure cs = cycle_structure(f, CycleStructureStrategy::OrbitLabel);
-  const RootedForest forest = build_rooted_forest(f, cs.on_cycle);
-  const ForestLevels lv = forest_levels(forest, strategy);
+  std::vector<u8> on_cycle;
+  EulerPartition partition;
+  find_cycle_nodes_into(f, CycleDetectStrategy::EulerTour, on_cycle, partition);
+  const CycleStructure cs =
+      cycle_structure_with_flags(f, on_cycle, CycleStructureStrategy::OrbitLabel);
+  const ForestLevels lv = strategy == ForestStrategy::EulerTour
+                              ? ForestPaths(f, on_cycle, partition).levels()
+                              : forest_levels(build_rooted_forest(f, on_cycle), strategy);
   // Component id = dense cycle id of the owning root's cycle.
   pram::parallel_for(0, n, [&](std::size_t x) {
     out.id[x] = cs.cycle_of[lv.root_of[x]];

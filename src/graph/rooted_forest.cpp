@@ -3,7 +3,6 @@
 #include <atomic>
 #include <cassert>
 
-#include "graph/euler_tour.hpp"
 #include "pram/parallel_for.hpp"
 #include "prim/compact.hpp"
 #include "prim/integer_sort.hpp"
@@ -42,10 +41,6 @@ RootedForest build_rooted_forest(std::span<const u32> f, std::span<const u8> on_
   const u32 total = prim::exclusive_scan<u32>(counts, std::span<u32>(forest.child_off).first(n));
   forest.child_off[n] = total;
   assert(total == forest.child.size());
-  forest.sibling_index.assign(n, 0);
-  pram::parallel_for(0, forest.child.size(), [&](std::size_t i) {
-    forest.sibling_index[forest.child[i]] = static_cast<u32>(i) - forest.child_off[forest.parent[forest.child[i]]];
-  });
   return forest;
 }
 
@@ -75,38 +70,6 @@ ForestLevels levels_sequential(const RootedForest& forest) {
   return out;
 }
 
-ForestLevels levels_euler(const RootedForest& forest, const EulerTour& tour) {
-  const std::size_t n = forest.size();
-  ForestLevels out;
-  out.level.assign(n, 0);
-  out.root_of.assign(n, kNone);
-  const std::size_t T = tour.order.size();
-  // One segmented scan yields both quantities.  Every arc carries +1 on a
-  // down-arc and -1 (mod 2^64) on an up-arc; each tree's first arc also
-  // carries (root + 1) << 32.  Within a tree the running +-1 sum is a depth,
-  // never negative and below 2^32, so the prefix at a node's down-arc holds
-  // its owning root + 1 in the high word and its level in the low word.
-  std::vector<u64> vals(T);
-  pram::parallel_for(0, T, [&](std::size_t p) {
-    const u32 arc = tour.order[p];
-    u64 v = EulerTour::is_down(arc) ? 1 : ~u64{0};
-    if (tour.seg_start[p]) v += (u64{forest.parent[EulerTour::arc_node(arc)]} + 1) << 32;
-    vals[p] = v;
-  });
-  std::vector<u64> pre(T);
-  prim::segmented_inclusive_scan<u64>(vals, tour.seg_start, pre);
-  pram::parallel_for(0, n, [&](std::size_t x) {
-    if (forest.is_root[x]) {
-      out.root_of[x] = static_cast<u32>(x);
-      return;
-    }
-    const u64 s = pre[tour.pos[EulerTour::down_arc(static_cast<u32>(x))]];
-    out.level[x] = static_cast<u32>(s);
-    out.root_of[x] = static_cast<u32>((s >> 32) - 1);
-  });
-  return out;
-}
-
 std::vector<i64> sums_sequential(const RootedForest& forest, std::span<const i64> vals) {
   const std::size_t n = forest.size();
   std::vector<i64> out(n, 0);
@@ -128,54 +91,88 @@ std::vector<i64> sums_sequential(const RootedForest& forest, std::span<const i64
   return out;
 }
 
-std::vector<i64> sums_euler(const RootedForest& forest, const EulerTour& tour,
-                            std::span<const u32> root_of, std::span<const i64> vals) {
-  const std::size_t n = forest.size();
-  std::vector<i64> out(n, 0);
-  const std::size_t T = tour.order.size();
-  std::vector<i64> arc_vals(T);
-  pram::parallel_for(0, T, [&](std::size_t p) {
-    const u32 arc = tour.order[p];
-    const u32 x = EulerTour::arc_node(arc);
-    arc_vals[p] = EulerTour::is_down(arc) ? vals[x] : -vals[x];
-  });
-  std::vector<i64> pre(T);
-  prim::segmented_inclusive_scan<i64>(arc_vals, tour.seg_start, pre);
-  pram::parallel_for(0, n, [&](std::size_t x) {
-    if (forest.is_root[x]) {
-      out[x] = vals[x];
-    } else {
-      // The prefix at the down-arc covers the path root..x *excluding* the
-      // root (roots have no down-arc); add the owning root's value.
-      out[x] = pre[tour.pos[EulerTour::down_arc(static_cast<u32>(x))]] + vals[root_of[x]];
-    }
-  });
-  return out;
-}
-
 }  // namespace
 
-ForestPaths::ForestPaths(const RootedForest& forest, ForestStrategy strategy)
-    : forest_(forest), strategy_(strategy) {
-  switch (strategy) {
-    case ForestStrategy::Sequential:
-      levels_ = levels_sequential(forest);
-      break;
-    case ForestStrategy::EulerTour:
-      tour_ = build_euler_tour(forest);
-      levels_ = levels_euler(forest, tour_);
-      break;
+ForestPaths::ForestPaths(const RootedForest& forest, ForestStrategy strategy) {
+  if (strategy == ForestStrategy::Sequential) {
+    forest_ = &forest;
+    levels_ = levels_sequential(forest);
+    return;
   }
+  f_ = forest.parent;
+  on_cycle_ = forest.is_root;
+  partition_ = &built_;
+  init_euler();
+}
+
+ForestPaths::ForestPaths(std::span<const u32> f, std::span<const u8> on_cycle,
+                         const EulerPartition& partition)
+    : f_(f), on_cycle_(on_cycle), partition_(&partition) {
+  init_euler();
+}
+
+void ForestPaths::init_euler() {
+  const std::size_t n = f_.size();
+  if (partition_->empty()) {
+    std::vector<u8> flags;
+    find_cycle_nodes_into(f_, CycleDetectStrategy::EulerTour, flags, built_);
+    partition_ = &built_;
+  }
+  levels_.level.assign(n, 0);
+  levels_.root_of.resize(n);
+  // Still empty: f is a permutation, every node its own root.
+  if (partition_->empty()) {
+    pram::parallel_for(0, n, [&](std::size_t x) { levels_.root_of[x] = static_cast<u32>(x); });
+    return;
+  }
+  // One scan yields both quantities.  A node's arcs carry +-1, and a
+  // root's children's arcs also +-(root + 1) << 32.  Below a root the sum
+  // is a depth, never negative and below 2^32, so at a node's down arc it
+  // holds its owning root + 1 in the high word and its level in the low
+  // word.
+  const std::vector<u64> scanned = scan_tour([&](u32 x) {
+    const u32 p = f_[x];
+    return on_cycle_[p] ? 1 + ((u64{p} + 1) << 32) : 1;
+  });
+  pram::parallel_for(0, n, [&](std::size_t xi) {
+    const u32 x = static_cast<u32>(xi);
+    if (on_cycle_[x]) {
+      levels_.root_of[x] = x;
+      return;
+    }
+    const u64 s = scanned[partition_->slot[2 * x + 1]];
+    levels_.level[x] = static_cast<u32>(s);
+    levels_.root_of[x] = static_cast<u32>((s >> 32) - 1);
+  });
+}
+
+template <typename Value>
+std::vector<u64> ForestPaths::scan_tour(Value&& value) const {
+  const std::span<const u32> slot = partition_->slot;
+  std::vector<u64> tour(slot.size());
+  pram::parallel_for(0, f_.size(), [&](std::size_t x) {
+    const u64 v = on_cycle_[x] ? 0 : value(static_cast<u32>(x));
+    tour[slot[2 * x + 1]] = v;
+    tour[slot[2 * x]] = u64{0} - v;
+  });
+  prim::inclusive_scan<u64>(tour, tour);
+  return tour;
 }
 
 std::vector<i64> ForestPaths::root_path_sums(std::span<const i64> vals) const {
-  switch (strategy_) {
-    case ForestStrategy::Sequential:
-      return sums_sequential(forest_, vals);
-    case ForestStrategy::EulerTour:
-      return sums_euler(forest_, tour_, levels_.root_of, vals);
-  }
-  return sums_sequential(forest_, vals);
+  if (forest_ != nullptr) return sums_sequential(*forest_, vals);
+  const std::size_t n = f_.size();
+  std::vector<i64> out(vals.begin(), vals.end());
+  if (partition_->empty()) return out;
+  const std::vector<u64> scanned = scan_tour([&](u32 x) { return static_cast<u64>(vals[x]); });
+  pram::parallel_for(0, n, [&](std::size_t xi) {
+    const u32 x = static_cast<u32>(xi);
+    if (on_cycle_[x]) return;
+    // The scan at x's down arc covers its root path below the root.
+    const u64 below = scanned[partition_->slot[2 * x + 1]];
+    out[x] = static_cast<i64>(below + static_cast<u64>(vals[levels_.root_of[x]]));
+  });
+  return out;
 }
 
 ForestLevels forest_levels(const RootedForest& forest, ForestStrategy strategy) {

@@ -6,10 +6,4 @@ std::vector<u32> pack_index(std::span<const u8> flags) {
   return pack_index_if(flags.size(), [&](std::size_t i) { return flags[i] != 0; });
 }
 
-std::vector<u32> pack_values(std::span<const u32> values, std::span<const u8> flags) {
-  return pack_if(
-      values.size(), [&](std::size_t i) { return flags[i] != 0; },
-      [&](std::size_t i) { return values[i]; });
-}
-
 }  // namespace sfcp::prim

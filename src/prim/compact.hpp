@@ -1,6 +1,6 @@
 #pragma once
-// Parallel compaction (a.k.a. pack / filter): collect the indices or values
-// whose flag is set, preserving order.  O(n) work in two rounds over
+// Parallel compaction (a.k.a. pack / filter): collect the indices whose
+// flag is set, preserving order.  O(n) work in two rounds over
 // pram::parallel_blocks: each block counts its hits, a prefix over the
 // per-block counts gives each block its first output slot, and each block
 // writes its own share.  No n-sized scratch array; the predicate is called
@@ -16,9 +16,9 @@
 
 namespace sfcp::prim {
 
-/// Returns value(i) for each i (ascending) for which pred(i) is truthy.
-template <typename Pred, typename Value>
-std::vector<u32> pack_if(std::size_t n, Pred&& pred, Value&& value) {
+/// Returns the indices i (ascending) for which pred(i) is truthy.
+template <typename Pred>
+std::vector<u32> pack_index_if(std::size_t n, Pred&& pred) {
   std::vector<u32> block_at(static_cast<std::size_t>(pram::num_blocks(n)) + 1, 0);
   pram::parallel_blocks(n, [&](int b, std::size_t lo, std::size_t hi) {
     u32 c = 0;
@@ -30,22 +30,13 @@ std::vector<u32> pack_if(std::size_t n, Pred&& pred, Value&& value) {
   pram::parallel_blocks(n, [&](int b, std::size_t lo, std::size_t hi) {
     u32 at = block_at[static_cast<std::size_t>(b)];
     for (std::size_t i = lo; i < hi; ++i) {
-      if (pred(i)) out[at++] = value(i);
+      if (pred(i)) out[at++] = static_cast<u32>(i);
     }
   });
   return out;
 }
 
-/// Returns the indices i (ascending) for which pred(i) is truthy.
-template <typename Pred>
-std::vector<u32> pack_index_if(std::size_t n, Pred&& pred) {
-  return pack_if(n, pred, [](std::size_t i) { return static_cast<u32>(i); });
-}
-
 /// Returns the indices i with flags[i] != 0, ascending.
 std::vector<u32> pack_index(std::span<const u8> flags);
-
-/// Returns values[i] for each i with flags[i] != 0, in order.
-std::vector<u32> pack_values(std::span<const u32> values, std::span<const u8> flags);
 
 }  // namespace sfcp::prim

@@ -62,7 +62,7 @@ T inclusive_scan(std::span<const T> in, std::span<T> out, T init = T{}) {
 }
 
 /// Segmented inclusive sum scan: the running sum restarts at every i with
-/// seg_start[i] != 0.  Used for per-tree Euler-tour prefix sums.
+/// seg_start[i] != 0.
 template <typename T>
 void segmented_inclusive_scan(std::span<const T> in, std::span<const u8> seg_start,
                               std::span<T> out) {

@@ -106,7 +106,6 @@
 #include "fleet/slab_arena.hpp"
 #include "graph/cycle_detect.hpp"
 #include "graph/cycle_structure.hpp"
-#include "graph/euler_tour.hpp"
 #include "graph/functional_graph.hpp"
 #include "graph/orbits.hpp"
 #include "graph/reverse_adjacency.hpp"

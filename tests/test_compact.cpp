@@ -34,12 +34,6 @@ TEST(Compact, Alternating) {
   EXPECT_EQ(prim::pack_index(flags), (std::vector<u32>{0, 2, 4}));
 }
 
-TEST(Compact, Values) {
-  std::vector<u32> vals{10, 20, 30, 40};
-  std::vector<u8> flags{0, 1, 1, 0};
-  EXPECT_EQ(prim::pack_values(vals, flags), (std::vector<u32>{20, 30}));
-}
-
 TEST(Compact, PredicateForm) {
   const auto evens = prim::pack_index_if(10, [](std::size_t i) { return i % 2 == 0; });
   EXPECT_EQ(evens, (std::vector<u32>{0, 2, 4, 6, 8}));
@@ -70,22 +64,18 @@ TEST(Compact, BlockEdgesAndThreadBudgetsMatchOneThread) {
                               257u, 319u, 320u, 321u, 513u, 1000u}) {
     for (const double density : {0.0, 0.05, 0.5, 1.0}) {
       std::vector<u8> flags(n);
-      std::vector<u32> vals(n);
-      std::vector<u32> want_idx, want_vals;
+      std::vector<u32> want_idx, want_unset;
       for (u32 i = 0; i < n; ++i) {
         flags[i] = rng.chance(density) ? 1 : 0;
-        vals[i] = static_cast<u32>(rng.next());
-        if (flags[i]) {
-          want_idx.push_back(i);
-          want_vals.push_back(vals[i]);
-        }
+        (flags[i] ? want_idx : want_unset).push_back(i);
       }
       pram::MetricsSnapshot one{};
       const auto check = [&](pram::ExecutionContext ctx, const std::string& what) {
         pram::Metrics m;
         pram::ScopedContext guard(ctx.with_grain(64).with_metrics(&m));
         EXPECT_EQ(prim::pack_index(flags), want_idx) << "n=" << n << " " << what;
-        EXPECT_EQ(prim::pack_values(vals, flags), want_vals) << "n=" << n << " " << what;
+        EXPECT_EQ(prim::pack_index_if(n, [&](std::size_t i) { return flags[i] == 0; }), want_unset)
+            << "n=" << n << " " << what;
         const auto got = m.snapshot();
         if (what == "t=1") one = got;
         EXPECT_EQ(got.operations, one.operations) << "n=" << n << " " << what;

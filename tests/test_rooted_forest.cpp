@@ -35,7 +35,6 @@ TEST(RootedForestBuild, ChildrenAscendingAndComplete) {
       EXPECT_EQ(inst.f[c], v);
       EXPECT_FALSE(forest.is_root[c]);
       if (i + 1 < forest.child_off[v + 1]) EXPECT_LT(c, forest.child[i + 1]);
-      EXPECT_EQ(forest.sibling_index[c], i - forest.child_off[v]);
       ++total_children;
     }
   }
